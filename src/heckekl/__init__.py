@@ -11,11 +11,9 @@ larger parameters behind an explicit allow_large flag.
 from .laurent import LaurentPoly, ZERO, ONE, Q, QINV
 from .coxeter import (
     CoxeterSystem,
-    ParabolicData,
     UnsupportedGroupError,
     coxeter_system,
     format_word,
-    parabolic_data,
     parse_word,
 )
 from .hecke import HeckeElement, MixedSystemError, form, t_basis, unit
@@ -60,11 +58,9 @@ __all__ = [
     "Q",
     "QINV",
     "CoxeterSystem",
-    "ParabolicData",
     "UnsupportedGroupError",
     "coxeter_system",
     "format_word",
-    "parabolic_data",
     "parse_word",
     "HeckeElement",
     "MixedSystemError",

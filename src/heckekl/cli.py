@@ -74,20 +74,22 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+def _cache_path(args, system) -> Path | None:
+    return Path(args.cache_dir) / f"{system.type_string}.klcache.gz" if args.cache_dir else None
+
+
 def _make_cache(args) -> KLCache:
     system = coxeter_system(args.group, allow_large=args.allow_large)
-    if args.cache_dir:
-        path = Path(args.cache_dir) / f"{system.type_string}.klcache.gz"
-        if path.exists():
-            return KLCache.load(path, system)
-    return KLCache(system)
+    path = _cache_path(args, system)
+    return KLCache.load(path, system) if path and path.exists() else KLCache(system)
 
 
 def _save_cache(args, cache: KLCache) -> None:
-    if args.cache_dir:
-        d = Path(args.cache_dir)
-        d.mkdir(parents=True, exist_ok=True)
-        cache.save(d / f"{cache.system.type_string}.klcache.gz")
+    """Write the cache back, unless it was loaded from that file and gained no column."""
+    path = _cache_path(args, cache.system)
+    if path and (cache.computed or not path.exists()):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        cache.save(path)
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +116,6 @@ def cmd_kl(args) -> int:
             rows = [(format_word(sys_.word(x)), str(col.get(x, ZERO))) for x in order]
             text = _csv_lines("x,coeff", rows)
     else:
-        cache.fill(args.threads)
         m = kl_matrix(cache)
         text = _json_text(m.to_json_obj()) if args.format == "json" else m.to_csv()
     _save_cache(args, cache)
@@ -178,7 +179,7 @@ def cmd_hybrid(args) -> int:
 def cmd_factorize(args) -> int:
     cache = _make_cache(args)
     chain = _parse_chain(args.chain) if args.chain else None
-    factors = factorize_chain(cache, chain, threads=args.threads)
+    factors = factorize_chain(cache, chain)
     prod = factors[0]
     for m in factors[1:]:
         prod = matmul(prod, m)
@@ -276,7 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=["json", "csv"], default="json")
     common.add_argument("--output", help="write output to this path instead of stdout")
     common.add_argument("--cache-dir", help="directory for persistent KL caches (opt-in)")
-    common.add_argument("--threads", type=int, default=1, help="parallel column workers")
+    common.add_argument("--threads", type=int, default=1, help="accepted; has no effect")
     common.add_argument(
         "--allow-large", action="store_true", help="lift the desk-scale group size bound"
     )

@@ -24,7 +24,6 @@ Groups are capped at desk scale (A5/B4/D4/I2(24)) unless allow_large=True.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 Element = tuple
@@ -453,26 +452,6 @@ class CoxeterSystem:
             s = min(ds)
             u = self._left[u][s - 1]
             v = self._right[v][s - 1]
-
-
-@dataclass(frozen=True)
-class ParabolicData:
-    """W_J together with both families of minimal coset representatives."""
-
-    J: frozenset[int]
-    elements_WJ: tuple[Element, ...]
-    left_reps: tuple[Element, ...]
-    right_reps: tuple[Element, ...]
-
-
-def parabolic_data(system: CoxeterSystem, J: Iterable[int]) -> ParabolicData:
-    J = system.subset(J)
-    return ParabolicData(
-        J=J,
-        elements_WJ=system.subgroup_elements(J),
-        left_reps=system.min_coset_reps(J, "left"),
-        right_reps=system.min_coset_reps(J, "right"),
-    )
 
 
 # ---------------------------------------------------------------------------

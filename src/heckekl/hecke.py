@@ -225,17 +225,6 @@ def _times_gen_left(system: CoxeterSystem, i: int, terms: Mapping[Element, Laure
     return out
 
 
-def _times_gen_right(system: CoxeterSystem, terms: Mapping[Element, LaurentPoly], i: int):
-    """(sum of terms) * T_{s_i}."""
-    out: dict[Element, LaurentPoly] = {}
-    for w, c in terms.items():
-        ws = system.apply_right(w, i)
-        _add(out, ws, c)
-        if system.length(ws) < system.length(w):
-            _add(out, w, c * _QINV_MINUS_Q)
-    return out
-
-
 _BAR_T_CACHE: "WeakKeyDictionary[CoxeterSystem, dict]" = WeakKeyDictionary()
 
 

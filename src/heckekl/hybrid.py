@@ -215,7 +215,7 @@ def transition_matrix(
 
     With replicate=True (default) one |W_J| x |W_J| block is computed and
     copied across cosets; replicate=False expands every column directly
-    (slow path, kept for cross-checking the block structure).
+    (slow path, kept for cross-checking the block structure).  threads: ignored.
     """
     sys = cache.system
     I = sys.subset(I)
@@ -227,31 +227,14 @@ def transition_matrix(
     cols: dict[Element, dict[Element, LaurentPoly]] = {}
     if replicate:
         wj = sys.subgroup_elements(J)
-        block = _map_maybe_parallel(
-            lambda vp: expand_in_hybrid(cache, cache.kl_element(vp), spec_i), wj, threads
-        )
+        block = {vp: expand_in_hybrid(cache, cache.kl_element(vp), spec_i) for vp in wj}
         for w in order:
             u, vp = sys.parabolic_factorize_left(w, J)
             cols[w] = {sys.multiply(u, x): c for x, c in block[vp].items()}
     else:
         spec_j = HybridBasisSpec(J, "TC")
-        direct = _map_maybe_parallel(
-            lambda w: expand_in_hybrid(cache, hybrid_element(cache, spec_j, w), spec_i),
-            order,
-            threads,
-        )
-        cols = dict(direct)
+        cols = {w: expand_in_hybrid(cache, hybrid_element(cache, spec_j, w), spec_i) for w in order}
     return TransitionMatrix(sys, I, J, order, cols)
-
-
-def _map_maybe_parallel(fn, items, threads: int) -> dict:
-    if threads <= 1:
-        return {x: fn(x) for x in items}
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = pool.map(fn, items)
-        return dict(zip(items, results))
 
 
 def matmul(a: TransitionMatrix, b: TransitionMatrix) -> TransitionMatrix:
@@ -287,7 +270,7 @@ def factorize_chain(
     """Transition factors M_i along a strictly increasing chain {} = J_0 < ... < J_k = S.
 
     The product M_1 * ... * M_k equals the KL matrix exactly; every factor
-    has entries in Z_{>=0}[q].
+    has entries in Z_{>=0}[q].  threads: ignored.
     """
     sys = cache.system
     if chain is None:
@@ -301,9 +284,7 @@ def factorize_chain(
     for a, b in zip(subsets, subsets[1:]):
         if not a < b:
             raise ValueError(f"chain is not strictly increasing at {sorted(a)} -> {sorted(b)}")
-    return [
-        transition_matrix(cache, a, b, threads=threads) for a, b in zip(subsets, subsets[1:])
-    ]
+    return [transition_matrix(cache, a, b) for a, b in zip(subsets, subsets[1:])]
 
 
 def parabolic_kl(cache: KLCache, J: Iterable[int]) -> dict[tuple[Element, Element], LaurentPoly]:

@@ -19,6 +19,15 @@ h_{x,w} in qZ[q] for x < w.  Two independent computations are provided:
   with c = -1 if sy < y and c = +1 otherwise.  It never touches a KLCache,
   so agreement of the two paths is a genuine cross-check.
 
+Inside KLCache elements are their positions in system.elements() and each
+h_{x,w} in Z[q] is one Python int, its value at q = 2^64.  With v = ws, the
+coefficient of C_v C_s at y is h_{ys,v} + (h_{y,v} >> 64 if ys < y, else
+h_{y,v} << 64); mu is digit 1.  A guard raises RuntimeError naming the
+column unless its diagonal is 1, each >> 64 was exact, (2 + sum of mu) *
+(largest coefficient so far) < 2^62 (so decoding is unique) and all entries
+are >= 0 with digits < 2^62.  Loaded columns are packed when first read and
+pass the same guard.  Public columns decode through one intern table.
+
 Also here: the Bruhat-interval element sum_{y <= w} q^{l(w)-l(y)} T_y, which
 coincides with C_w exactly for rationally smooth w (in type A: for the
 permutations avoiding the patterns 3412 and 4231), and the pattern test.
@@ -28,29 +37,41 @@ from __future__ import annotations
 
 import gzip
 import json
-import threading
+from functools import cache, reduce
 from itertools import combinations
+from operator import or_
 from typing import Iterable, Mapping
 
 from .coxeter import CoxeterSystem, Element, UnsupportedGroupError, format_word, parse_word
-from .hecke import HeckeElement, _add, _times_gen_right, _wrap
+from .hecke import HeckeElement, _wrap
 from .laurent import LaurentPoly, ONE, Q, QINV, ZERO
 
 _CACHE_FORMAT = 1
 
+_DIGIT = 64  # bits per packed coefficient: h(q) is stored as h(2^64)
+_MASK = (1 << _DIGIT) - 1
+_LIMIT = 1 << 62  # every packed coefficient stays below this
+
+
+def _decode(h: int) -> LaurentPoly:
+    """The polynomial whose value at q = 2^64 is h (h >= 0, digits < 2^64)."""
+    return LaurentPoly({e: h >> (_DIGIT * e) & _MASK for e in range(-(-h.bit_length() // _DIGIT))})
+
 
 class KLCache:
-    """Per-system store of KL columns h_{.,w}, filled on demand.
-
-    Lookups may run concurrently; a column is computed under a lock and
-    inserted atomically (recomputation is idempotent, so the lock is only
-    about consistency of the dict).
-    """
+    """Per-system store of KL columns h_{.,w}, filled on demand.  ``_columns``
+    maps elements to public columns; the recursion reads their packed twins."""
 
     def __init__(self, system: CoxeterSystem):
         self.system = system
         self._columns: dict[Element, dict[Element, LaurentPoly]] = {}
-        self._lock = threading.Lock()
+        self.computed = 0  # columns computed here rather than loaded
+        # right[s - 1][i] = index of els[i]*s, below i iff s is a right descent (indices follow length)
+        els, index = system.elements(), system.index
+        self._right = [[index(system.apply_right(w, s)) for w in els] for s in system.generators]
+        self._packed: list[dict[int, int] | None] = [None] * system.order
+        self._top = 1  # largest coefficient in any packed column so far
+        self._polys = cache(_decode)  # intern table: equal entries share one LaurentPoly
 
     # -- core recursion ----------------------------------------------------
 
@@ -58,39 +79,78 @@ class KLCache:
         """The map x -> h_{x,w}; absent keys are zero.  Treat as read-only."""
         col = self._columns.get(w)
         if col is None:
-            # compute outside the lock: concurrent recomputation is
-            # idempotent, only the insertion needs to be atomic
-            col = self._compute_column(w)
-            with self._lock:
-                col = self._columns.setdefault(w, col)
+            i = self.system.index(w)
+            packed = self._packed[i] = self._compute(i)
+            self.computed += 1
+            els, polys = self.system.elements(), self._polys
+            col = self._columns[w] = {els[x]: polys(h) for x, h in packed.items()}
         return col
 
-    def _compute_column(self, w: Element) -> dict[Element, LaurentPoly]:
-        sys = self.system
-        if w == sys.identity:
-            return {w: ONE}
-        s = sys.word(w)[-1]
-        v = sys.apply_right(w, s)
-        colv = self.kl_column(v)
+    def _packed_column(self, i: int) -> dict[int, int]:
+        """Packed column i.  Read through kl_column even when loaded, so a missing
+        column shows up as extra kl_column calls; computing a column packs it."""
+        if self._packed[i] is None:
+            loaded = self.kl_column(self.system.elements()[i])
+            if self._packed[i] is None:  # loaded: pack it, behind the guard
+                terms = {self.system.index(x): list(p.items()) for x, p in loaded.items()}
+                if any(e < 0 or not 0 <= c < _LIMIT for t in terms.values() for e, c in t):
+                    self._fail(i, "a loaded entry is not in Z[q] with coefficients in [0, 2^62)")
+                col = {x: sum(c << (_DIGIT * e) for e, c in t) for x, t in terms.items()}
+                self._guard(i, col)
+                self._packed[i] = col
+        return self._packed[i]
 
-        # C_v * C_s = C_v * T_s + q * C_v
-        out: dict[Element, LaurentPoly] = dict(_times_gen_right(sys, colv, s))
-        for x, c in colv.items():
-            _add(out, x, c * Q)
+    def _compute(self, i: int) -> dict[int, int]:
+        if i == 0:
+            return {0: 1}
+        right = self._right[self.system.word(self.system.elements()[i])[-1] - 1]
+        colv = self._packed_column(right[i])
+
+        # C_v C_s on pairs y < ys: h_y = h_{ys,v} + q h_{y,v} and
+        # h_ys = h_{y,v} + q^-1 h_{ys,v}; ys <= v whenever ys < y <= v
+        out: dict[int, int] = {}
+        low = 0  # OR of the operands of >> 64: its low digit must be 0
+        for y, h in colv.items():
+            ys = right[y]
+            if ys > y:
+                hb = colv.get(ys, 0)
+                low |= hb
+                out[y] = hb + (h << _DIGIT)
+                out[ys] = h + (hb >> _DIGIT)
 
         # corrections: - mu(z, v) C_z over z < v with zs < z
+        mu_sum = 0
         for z, h in colv.items():
-            if z == v:
-                continue
-            m = h.coeff(1)
-            if m == 0 or s not in sys.right_descents(z):
-                continue
-            for x, cz in self.kl_column(z).items():
-                _add(out, x, cz * (-m))
-
-        if out.get(w) != ONE:
-            raise RuntimeError(f"KL recursion lost unitriangularity at {sys.word(w)}")
+            m = right[z] < z and (h >> _DIGIT) & _MASK
+            if m:
+                mu_sum += m
+                try:  # x lies in [e, z], inside out's support, unless a loaded column is damaged
+                    for x, hz in self._packed_column(z).items():
+                        out[x] -= m * hz
+                except KeyError:
+                    self._fail(i, "a loaded column has an entry outside the Bruhat interval")
+        self._guard(i, out, low, mu_sum)
         return out
+
+    def _guard(self, i: int, col: dict[int, int], low: int = 0, mu_sum: int = 0):
+        """Raise unless packed column i decodes exactly (module docstring)."""
+        if col.get(i) != 1:
+            self._fail(i, "the diagonal entry is not 1")
+        if low & _MASK:
+            self._fail(i, "a division by q was not exact")
+        if (2 + mu_sum) * self._top >= _LIMIT:
+            self._fail(i, "coefficients could reach 2^62")
+        # digit k of the OR bounds digit k of every entry; it is < 0 iff one is
+        top, acc = self._top, reduce(or_, col.values())
+        while acc > 0:
+            top, acc = max(top, acc & _MASK), acc >> _DIGIT
+        if acc < 0 or top >= _LIMIT:
+            self._fail(i, "an entry is negative or has a coefficient >= 2^62")
+        self._top = top
+
+    def _fail(self, i: int, why: str):
+        word = format_word(self.system.word(self.system.elements()[i])) or "e"
+        raise RuntimeError(f"KL column {word}: {why}")
 
     # -- public accessors ------------------------------------------------
 
@@ -107,16 +167,9 @@ class KLCache:
         return self.kl_poly(z, w).coeff(1)
 
     def fill(self, threads: int = 1):
-        """Compute every column, optionally spreading columns over threads."""
-        elements = self.system.elements()
-        if threads <= 1:
-            for w in elements:
-                self.kl_column(w)
-            return
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(self.kl_column, elements))
+        """Compute every column.  ``threads`` is accepted and ignored."""
+        for w in self.system.elements():
+            self.kl_column(w)
 
     # -- persistence -------------------------------------------------------
 

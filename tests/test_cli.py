@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -225,6 +226,22 @@ def test_cache_dir_round_trip(tmp_path, capsys):
     code, out2, _ = run(capsys, *args)
     assert code == 0
     assert out1 == out2
+
+
+def test_cache_dir_rewritten_only_when_columns_were_added(tmp_path, capsys):
+    cache_dir = tmp_path / "caches"
+    path = cache_dir / "A2.klcache.gz"
+    column = ("kl", "--group", "A2", "--w", "1,2", "--cache-dir", str(cache_dir))
+    assert run(capsys, *column)[0] == 0
+    os.utime(path, ns=(10**18, 10**18))  # a stamp no rewrite can reproduce
+    before = (path.read_bytes(), path.stat().st_mtime_ns)
+    # a warm run that computes nothing leaves the file alone
+    assert run(capsys, *column)[0] == 0
+    assert (path.read_bytes(), path.stat().st_mtime_ns) == before
+    # the full matrix adds columns, so the file is written again
+    assert run(capsys, "kl", "--group", "A2", "--cache-dir", str(cache_dir))[0] == 0
+    assert path.read_bytes() != before[0]
+    assert path.stat().st_mtime_ns != before[1]
 
 
 def test_cache_dir_distinguishes_groups(tmp_path, capsys):

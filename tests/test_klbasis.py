@@ -1,3 +1,6 @@
+import gzip
+import json
+
 import pytest
 
 from heckekl import (
@@ -11,6 +14,7 @@ from heckekl import (
     bruhat_interval_element,
     coxeter_system,
     is_rationally_smooth,
+    kl_matrix,
     t_basis,
     unit,
 )
@@ -214,3 +218,121 @@ def test_cache_partial_save(tmp_path):
     # columns not saved are recomputed on demand
     si = s.generator(1)
     assert loaded.kl_element(si) == cache.kl_element(si)
+
+
+def test_oracle_agrees_exhaustively_a4_d4():
+    for group in ("A4", "D4"):
+        cache = get_cache(group)
+        s = cache.system
+        oracle = KLOracle(s)
+        for x in s.elements():
+            col = cache.kl_column(x)
+            for y in s.elements():
+                assert col.get(y, ZERO) == oracle.kl_poly(y, x)
+
+
+def test_partial_cache_recomputes_through_loaded_columns(tmp_path):
+    s = coxeter_system("B3")
+    low = KLCache(s)
+    for w in s.elements()[:10]:
+        low.kl_column(w)
+    path = tmp_path / "low.klcache.gz"
+    low.save(path)
+    loaded = KLCache.load(path, s)
+    loaded.kl_column(s.longest_element())
+    # only the missing columns were computed; the loaded ones were read
+    assert loaded.computed == len(loaded._columns) - 10
+    fresh = get_cache("B3")
+    for w in loaded._columns:
+        assert loaded.kl_column(w) == fresh.kl_column(w)
+
+
+def _load_edited(tmp_path, system, words, edit):
+    """Save the columns of ``words``, let ``edit`` change the file's columns, load it."""
+    cache = KLCache(system)
+    for word in words:
+        cache.kl_column(system.element_from_word(word))
+    path = tmp_path / "edited.klcache.gz"
+    cache.save(path)
+    with gzip.open(path, "rt", encoding="utf-8") as fh:
+        obj = json.load(fh)
+    edit(obj["columns"])
+    with gzip.open(path, "wt", encoding="utf-8") as fh:
+        json.dump(obj, fh)
+    return KLCache.load(path, system)
+
+
+@pytest.mark.parametrize(
+    "column, entry, poly, match",
+    [
+        ("1", "", {"-1": 1}, r"not in Z\[q\]"),  # negative exponent
+        ("1", "", {"1": 2**62}, r"not in Z\[q\]"),  # coefficient >= 2^62
+        ("1", "1", {"0": 2}, "diagonal entry is not 1"),
+        ("1,2", "1", {"0": 1, "1": 1}, "division by q was not exact"),
+        ("1,2", "", {"2": 2**61 - 1}, r"could reach 2\^62"),
+        # the correction by C_1 overshoots: h_{e,121} = q - 4q^3, then q^3 - 4q
+        ("1", "", {"3": 5}, "negative"),
+        ("1", "", {"1": 5}, "negative"),
+    ],
+)
+def test_guard_rejects_damaged_loaded_columns(tmp_path, column, entry, poly, match):
+    # in A2, C_{121} = C_{12} C_1 - C_1 reads both loaded columns
+    s = coxeter_system("A2")
+
+    def edit(columns):
+        columns[column][entry] = poly
+
+    loaded = _load_edited(tmp_path, s, ([1], [1, 2]), edit)
+    with pytest.raises(RuntimeError, match=match):
+        loaded.kl_column(s.longest_element())
+
+
+def test_guard_rejects_an_entry_outside_the_interval(tmp_path):
+    # in A3, C_{121} = C_{12} C_1 - C_1 and s_3 is not below 121
+    s = coxeter_system("A3")
+
+    def edit(columns):
+        columns["1"]["3"] = {"1": 1}
+
+    loaded = _load_edited(tmp_path, s, ([1], [1, 2]), edit)
+    with pytest.raises(RuntimeError, match="KL column 1,2,1: .*outside the Bruhat interval"):
+        loaded.kl_column(s.element_from_word([1, 2, 1]))
+
+
+def _kl_matrix_calls(cache):
+    """kl_column calls made by kl_matrix on ``cache``."""
+    calls = 0
+    lookup = cache.kl_column
+
+    def counting(w):
+        nonlocal calls
+        calls += 1
+        return lookup(w)
+
+    cache.kl_column = counting
+    kl_matrix(cache)
+    return calls
+
+
+def test_kl_matrix_calls_reveal_a_missing_column(tmp_path):
+    # a complete cache answers with one call per element; a missing column
+    # is recomputed through further calls, even when its inputs are loaded
+    s = coxeter_system("A3")
+    path = tmp_path / "a3.klcache.gz"
+    get_cache("A3").save(path)
+    assert _kl_matrix_calls(KLCache.load(path, s)) == s.order
+
+    def edit(columns):
+        del columns["1,2"]
+
+    words = [s.word(w) for w in s.elements()]
+    loaded = _load_edited(tmp_path, s, words, edit)
+    assert _kl_matrix_calls(loaded) > s.order
+
+
+def test_guard_rejects_a_digit_of_2_62():
+    # the recursion cannot produce one (the a-priori bound trips first), so
+    # the guard is called on a hand-made packed column: h_{e,1} = 2^62 q
+    s = coxeter_system("A1")
+    with pytest.raises(RuntimeError, match=r"KL column 1: .*coefficient >= 2\^62"):
+        KLCache(s)._guard(1, {1: 1, 0: 1 << 126})
