@@ -6,9 +6,10 @@ Chains are "<"-separated subsets ("@<1<1,2"), where "@", "e", or an empty
 field denote the empty set (the symbol U+2205 is also accepted).
 
 Exit codes: 0 success, 1 a checked property failed, 2 usage/parse/domain
-error.  Output is byte-deterministic for a fixed invocation: elements appear
-in canonical (length, word) order and polynomials use the fixed textual
-grammar from laurent.
+error, an I/O error, or an unreadable or damaged cache file (one line on
+stderr, no traceback).  Output is byte-deterministic for a fixed
+invocation: elements appear in canonical (length, word) order and
+polynomials use the fixed textual grammar from laurent.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import zlib
+from functools import reduce
 from pathlib import Path
 
 from .coxeter import coxeter_system, format_word, parse_word
@@ -180,10 +183,8 @@ def cmd_factorize(args) -> int:
     cache = _make_cache(args)
     chain = _parse_chain(args.chain) if args.chain else None
     factors = factorize_chain(cache, chain)
-    prod = factors[0]
-    for m in factors[1:]:
-        prod = matmul(prod, m)
-    equal = prod.same_entries(kl_matrix(cache))
+    # the product is dropped once compared, so it is not held through serialization
+    equal = reduce(matmul, factors).same_entries(kl_matrix(cache))
     nonneg = all(m.is_nonneg_poly_matrix() for m in factors)
     if args.format == "json":
         obj = {
@@ -330,8 +331,9 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.fn(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    # OSError covers gzip.BadGzipFile; RuntimeError is the KL guard on a damaged loaded column
+    except (ValueError, OSError, EOFError, zlib.error, RuntimeError) as exc:
+        print(f"error: {exc or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -24,6 +24,7 @@ Groups are capped at desk scale (A5/B4/D4/I2(24)) unless allow_large=True.
 from __future__ import annotations
 
 import re
+from functools import cached_property
 from typing import Iterable, Sequence
 
 Element = tuple
@@ -227,6 +228,7 @@ class CoxeterSystem:
         self._bruhat: dict[tuple[Element, Element], bool] = {}
         self._subgroup_cache: dict[frozenset, tuple[Element, ...]] = {}
         self._reps_cache: dict[tuple[frozenset, str], tuple[Element, ...]] = {}
+        self._coset_tables: dict[frozenset, dict[Element, tuple[Element, Element]]] = {}
 
     # -- construction --------------------------------------------------
 
@@ -346,6 +348,17 @@ class CoxeterSystem:
         """s_i * w."""
         return self._left[w][i - 1]
 
+    @cached_property
+    def left_index(self) -> tuple[list[int], ...]:
+        """left_index[i - 1][k] is the index of s_i * elements()[k]."""
+        return tuple([self._index[self._left[w][i - 1]] for w in self._elements] for i in self.generators)
+
+    @cached_property
+    def right_index(self) -> tuple[list[int], ...]:
+        """right_index[i - 1][k] is the index of elements()[k] * s_i; it is
+        below k iff s_i is a right descent (indices follow length)."""
+        return tuple([self._index[self._right[w][i - 1]] for w in self._elements] for i in self.generators)
+
     def right_descents(self, w: Element) -> frozenset[int]:
         return self._rdesc[w]
 
@@ -429,17 +442,28 @@ class CoxeterSystem:
             self._reps_cache[key] = got
         return got
 
+    def coset_table(self, J: Iterable[int]) -> dict[Element, tuple[Element, Element]]:
+        """w -> (u, v), the split of parabolic_factorize_left, for every w;
+        built once per J.  Treat as read-only."""
+        J = self.subset(J)
+        table = self._coset_tables.get(J)
+        if table is None:
+            # canonical order puts w*s (s a right descent) before w, and if
+            # w*s = u*v' then w = u*(v's)
+            table = self._coset_tables[J] = {}
+            for w in self._elements:
+                ds = self._rdesc[w] & J
+                if ds:
+                    s = min(ds)
+                    u, v = table[self._right[w][s - 1]]
+                    table[w] = (u, self._right[v][s - 1])
+                else:
+                    table[w] = (w, self.identity)
+        return table
+
     def parabolic_factorize_left(self, w: Element, J: Iterable[int]) -> tuple[Element, Element]:
         """The unique (u, v) with w = u*v, u in W^J, v in W_J, lengths adding."""
-        J = self.subset(J)
-        u, v = w, self.identity
-        while True:
-            ds = self._rdesc[u] & J
-            if not ds:
-                return u, v
-            s = min(ds)
-            u = self._right[u][s - 1]
-            v = self._left[v][s - 1]
+        return self.coset_table(J)[w]
 
     def parabolic_factorize_right(self, w: Element, J: Iterable[int]) -> tuple[Element, Element]:
         """The unique (v, u) with w = v*u, v in W_J, u in ^JW, lengths adding."""

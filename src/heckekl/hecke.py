@@ -20,18 +20,36 @@ throughout:
 the standard bilinear form (bar-semilinear in the first slot, with
 (bar T_x, T_y) = delta_{x,y}), and two-sided-linear restriction to a
 parabolic subalgebra H_J, which keeps exactly the terms supported on W_J.
+
+The product and bar run on packed coefficients (laurent.pack): elements
+become maps index -> int, each coefficient p stored as (q^off p)(2^K), and
+are decoded once on exit.  The digit width comes from an a-priori bound B
+on the L1 norm of every coefficient the call can form, K = max(64,
+bit_length(B) + 2), so huge inputs take the same code with wider digits:
+
+* product a*b: B = |b|_1 * sum_x |a_x|_1 3^l(x), since each T_s step at
+  most triples the L1 norm.  Horner over right descents: with A_x = a_x b,
+  walk the indices downward and add T_t A_y into A_{yt} (t a right descent
+  of y, T_y = T_{yt} T_t); the result is A_e.
+* bar: B = sum_x |a_x|_1 |bar T_x|_1 <= sum_x |a_x|_1 3^l(x), against one
+  packed table of bar(T_x) per system and K, built lazily from
+  bar(T_x) = bar(T_s) bar(T_{sx}), s the first letter of x.
+
+The offset is chosen so that no exponent of any intermediate drops below 0
+(the product applies at most l(x) factors q^-1 to a_x b; bar(T_x) has
+exponents >= -l(w0)), so each q^-1 step is an exact ``>> K``.  The low digit
+of every operand of such a shift is checked (an OR of them, as in the KL
+guard), and a step that was not exact raises RuntimeError.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Mapping
 from weakref import WeakKeyDictionary
 
 from .coxeter import CoxeterSystem, Element
-from .laurent import LaurentPoly, ONE, ZERO
-
-_QINV_MINUS_Q = LaurentPoly({-1: 1, 1: -1})
-_Q_MINUS_QINV = LaurentPoly({1: 1, -1: -1})
+from .laurent import LaurentPoly, ONE, ZERO, pack, unpack
 
 
 class MixedSystemError(ValueError):
@@ -123,14 +141,40 @@ class HeckeElement:
             return NotImplemented
         self._check(other)
         sys = self.system
-        out: dict[Element, LaurentPoly] = {}
-        for a, ca in self.terms.items():
-            cur = other.terms
-            for s in reversed(sys.word(a)):
-                cur = _times_gen_left(sys, s, cur)
-            for w, c in cur.items():
-                _add(out, w, ca * c)
-        return _wrap(sys, out)
+        if not self.terms or not other.terms:
+            return _wrap(sys, {})
+        index, length, els = sys.index, sys.length, sys.elements()
+        K = _width(
+            sum(c.l1() for c in other.terms.values())
+            * sum(c.l1() * 3 ** length(a) for a, c in self.terms.items())
+        )
+        off_a = -min(c.min_exp() for c in self.terms.values())
+        off_b = max(map(length, self.terms)) - min(c.min_exp() for c in other.terms.values())
+        b = [(index(w), pack(c, K, off_b)) for w, c in other.terms.items()]
+        acc: dict[int, dict[int, int]] = {}
+        for a, c in self.terms.items():
+            ca = pack(c, K, off_a)
+            acc[index(a)] = {w: ca * bw for w, bw in b}
+        heap = [-y for y in acc]
+        heapify(heap)
+        low = 0  # OR of the operands of >> K: its low digit must be 0
+        while heap[0]:
+            y = -heappop(heap)
+            t = sys.word(els[y])[-1]
+            yt = sys.right_index[t - 1][y]
+            dest = acc.get(yt)
+            if dest is None:
+                dest = acc[yt] = {}
+                heappush(heap, -yt)
+            lt = sys.left_index[t - 1]
+            for w, c in acc.pop(y).items():
+                tw = lt[w]
+                dest[tw] = dest.get(tw, 0) + c
+                if tw < w:  # T_t T_w = T_tw + (q^-1 - q) T_w
+                    low |= c
+                    dest[w] = dest.get(w, 0) + (c >> K) - (c << K)
+        _check_exact(low, K)
+        return _unpack_terms(sys, acc[0], K, off_a + off_b)
 
     def __rmul__(self, other) -> "HeckeElement":
         if isinstance(other, (LaurentPoly, int)):
@@ -142,12 +186,18 @@ class HeckeElement:
     def bar(self) -> "HeckeElement":
         """Bar involution: semilinear over q -> q^-1, T_x -> (T_{x^-1})^-1."""
         sys = self.system
-        out: dict[Element, LaurentPoly] = {}
-        for x, cx in self.terms.items():
-            cbar = cx.bar()
-            for w, c in _bar_t(sys, x).items():
-                _add(out, w, cbar * c)
-        return _wrap(sys, out)
+        if not self.terms:
+            return _wrap(sys, {})
+        index, length = sys.index, sys.length
+        K = _width(sum(c.l1() * 3 ** length(x) for x, c in self.terms.items()))
+        off = max(c.max_exp() for c in self.terms.values())  # bar(c) has exponents >= -off
+        row = _bar_rows(sys, K)
+        out: dict[int, int] = {}
+        for x, c in self.terms.items():
+            cbar = pack(c.bar(), K, off)
+            for y, t in row(index(x)).items():
+                out[y] = out.get(y, 0) + cbar * t
+        return _unpack_terms(sys, out, K, off + length(sys.longest_element()))
 
     def psi(self) -> "HeckeElement":
         """Linear anti-automorphism T_w -> T_{w^-1}, scalars fixed."""
@@ -214,36 +264,64 @@ def _add(d: dict[Element, LaurentPoly], w: Element, c: LaurentPoly):
         d[w] = s
 
 
-def _times_gen_left(system: CoxeterSystem, i: int, terms: Mapping[Element, LaurentPoly]):
-    """T_{s_i} * (sum of terms), one application of the quadratic relation."""
-    out: dict[Element, LaurentPoly] = {}
-    for w, c in terms.items():
-        sw = system.apply_left(i, w)
-        _add(out, sw, c)
-        if system.length(sw) < system.length(w):
-            _add(out, w, c * _QINV_MINUS_Q)
-    return out
+def _width(bound: int) -> int:
+    """Digit width for packed coefficients of absolute value at most bound."""
+    return max(64, bound.bit_length() + 2)
 
 
-_BAR_T_CACHE: "WeakKeyDictionary[CoxeterSystem, dict]" = WeakKeyDictionary()
+def _check_exact(low: int, K: int):
+    if low & (1 << K) - 1:
+        raise RuntimeError("packed Hecke arithmetic: a division by q was not exact")
 
 
-def _bar_t(system: CoxeterSystem, x: Element) -> dict[Element, LaurentPoly]:
-    """bar(T_x) as a term dict, folded along the canonical reduced word.
+def _unpack_terms(system: CoxeterSystem, packed: dict[int, int], K: int, off: int) -> HeckeElement:
+    els = system.elements()
+    polys: dict[int, LaurentPoly] = {}  # equal coefficients decode once
+    terms = {}
+    for i, P in packed.items():
+        if P:
+            p = polys.get(P)
+            if p is None:
+                p = polys[P] = unpack(P, K, off)
+            terms[els[i]] = p
+    return _wrap(system, terms)
 
-    bar(T_s) = T_s + (q - q^-1), and bar is multiplicative, so
-    bar(T_x) = bar(T_{s_1}) ... bar(T_{s_l}) for any reduced word; the result
-    is word-independent (tests compare a second reduced word).
+
+_BAR_ROWS: "WeakKeyDictionary[CoxeterSystem, dict]" = WeakKeyDictionary()
+
+
+def _bar_rows(system: CoxeterSystem, K: int):
+    """x -> bar(T_x) as {index: packed coefficient}, offset l(w0), width K.
+
+    One lazily filled table per system and K.  bar(T_s) = T_s + (q - q^-1),
+    so with s the first letter of x, bar(T_x) = bar(T_s) bar(T_{sx}), and
+    bar(T_s) T_w is T_sw + (q - q^-1) T_w if sw > w and T_sw otherwise.
     """
-    memo = _BAR_T_CACHE.setdefault(system, {})
-    got = memo.get(x)
-    if got is not None:
-        return got
-    cur = {system.identity: ONE}
-    for s in reversed(system.word(x)):
-        nxt = _times_gen_left(system, s, cur)
-        for w, c in cur.items():
-            _add(nxt, w, c * _Q_MINUS_QINV)
-        cur = nxt
-    memo[x] = cur
-    return cur
+    per_width = _BAR_ROWS.setdefault(system, {})
+    rows = per_width.get(K)
+    if rows is None:
+        rows = per_width[K] = [None] * system.order
+        rows[0] = {0: 1 << K * system.length(system.longest_element())}
+    els = system.elements()
+
+    def row(x: int) -> dict[int, int]:
+        chain = []
+        while rows[x] is None:
+            chain.append(x)
+            s = system.word(els[x])[0]
+            x = system.left_index[s - 1][x]
+        for x in reversed(chain):
+            ls = system.left_index[system.word(els[x])[0] - 1]
+            out: dict[int, int] = {}
+            low = 0
+            for w, h in rows[ls[x]].items():
+                sw = ls[w]
+                out[sw] = out.get(sw, 0) + h
+                if sw > w:
+                    low |= h
+                    out[w] = out.get(w, 0) + (h << K) - (h >> K)
+            _check_exact(low, K)
+            rows[x] = {w: h for w, h in out.items() if h}
+        return rows[x]
+
+    return row

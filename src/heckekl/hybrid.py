@@ -29,6 +29,7 @@ end-to-end identity the test suite checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from typing import Iterable
 
 from .coxeter import CoxeterSystem, Element, format_word
@@ -78,16 +79,23 @@ def expand_in_hybrid(
         inner = expand_in_hybrid(cache, h.psi(), HybridBasisSpec(J, "TC"))
         return {sys.inverse(x): c for x, c in inner.items()}
 
-    by_coset: dict[Element, dict[Element, LaurentPoly]] = {}
-    for x, c in h.terms.items():
-        u, v = sys.parabolic_factorize_left(x, J)
-        by_coset.setdefault(u, {})[v] = c
-
+    by_coset = _split_by_coset(sys.coset_table(J), h.terms)
     out: dict[Element, LaurentPoly] = {}
     for u, tvec in by_coset.items():
         for v, c in _expand_in_kl_basis(cache, tvec).items():
             out[sys.multiply(u, v)] = c
     return out
+
+
+def _split_by_coset(
+    split: dict[Element, tuple[Element, Element]], terms: dict[Element, LaurentPoly]
+) -> dict[Element, dict[Element, LaurentPoly]]:
+    """u -> {v: terms[uv]}, the part of terms on each coset uW_J (split: coset_table(J))."""
+    by_coset: dict[Element, dict[Element, LaurentPoly]] = {}
+    for x, c in terms.items():
+        u, v = split[x]
+        by_coset.setdefault(u, {})[v] = c
+    return by_coset
 
 
 def _expand_in_kl_basis(
@@ -98,19 +106,28 @@ def _expand_in_kl_basis(
     Back-substitution in decreasing canonical order against the
     unitriangular KL columns; exact, no division.
     """
-    sys = cache.system
+    index = cache.system.index
     out: dict[Element, LaurentPoly] = {}
     work = {v: c for v, c in tvec.items() if not c.is_zero()}
-    while work:
-        v = max(work, key=sys.sort_key)
-        c = work.pop(v)
+    heap = [(-index(v), v) for v in work]  # a column of v only reaches lower indices
+    heapify(heap)
+    while heap:
+        v = heappop(heap)[1]
+        c = work.pop(v, None)
+        if c is None:  # cancelled to zero, or a second heap entry
+            continue
         out[v] = c
         for x, hpoly in cache.kl_column(v).items():
             if x == v:
                 continue
-            r = work.get(x, ZERO) - c * hpoly
+            r = work.get(x)
+            if r is None:
+                work[x] = -(c * hpoly)
+                heappush(heap, (-index(x), x))
+                continue
+            r = r - c * hpoly
             if r.is_zero():
-                work.pop(x, None)
+                del work[x]
             else:
                 work[x] = r
     return out
@@ -132,9 +149,10 @@ def restriction_coeffs(
         raise ValueError(
             f"u is not a minimal coset representative: generator {min(bad)} is a right descent in J"
         )
+    split = sys.coset_table(J)
     tvec: dict[Element, LaurentPoly] = {}
     for x, hpoly in cache.kl_column(w).items():
-        xu, xv = sys.parabolic_factorize_left(x, J)
+        xu, xv = split[x]
         if xu == u:
             tvec[xv] = hpoly
     return _expand_in_kl_basis(cache, tvec)
@@ -150,7 +168,8 @@ class TransitionMatrix:
     """Square change-of-basis matrix, column w = coordinates of TC^J_w in TC^I.
 
     columns maps w to a sparse {x: poly}; entries are unitriangular in
-    Bruhat order and vanish across distinct W^J-cosets.
+    Bruhat order and vanish across distinct W^J-cosets.  Columns are
+    read-only: kl_matrix shares them with the KLCache.
     """
 
     system: CoxeterSystem
@@ -204,7 +223,7 @@ def kl_matrix(cache: KLCache) -> TransitionMatrix:
     """The full KL matrix (h_{x,w}) as the transition TC^S -> TC^(empty)."""
     sys = cache.system
     order = sys.elements()
-    cols = {w: dict(cache.kl_column(w)) for w in order}
+    cols = {w: cache.kl_column(w) for w in order}
     return TransitionMatrix(sys, frozenset(), frozenset(sys.generators), order, cols)
 
 
@@ -228,8 +247,9 @@ def transition_matrix(
     if replicate:
         wj = sys.subgroup_elements(J)
         block = {vp: expand_in_hybrid(cache, cache.kl_element(vp), spec_i) for vp in wj}
+        split = sys.coset_table(J)
         for w in order:
-            u, vp = sys.parabolic_factorize_left(w, J)
+            u, vp = split[w]
             cols[w] = {sys.multiply(u, x): c for x, c in block[vp].items()}
     else:
         spec_j = HybridBasisSpec(J, "TC")
@@ -293,12 +313,12 @@ def parabolic_kl(cache: KLCache, J: Iterable[int]) -> dict[tuple[Element, Elemen
     restriction coefficient of C_{u'} at u.  Zeros omitted."""
     sys = cache.system
     J = sys.subset(J)
-    reps = sys.min_coset_reps(J, "left")
+    split = sys.coset_table(J)
     ident = sys.identity
     out: dict[tuple[Element, Element], LaurentPoly] = {}
-    for up in reps:
-        for u in reps:
-            c = restriction_coeffs(cache, u, up, J).get(ident)
-            if c is not None and not c.is_zero():
+    for up in sys.min_coset_reps(J, "left"):
+        for u, tvec in _split_by_coset(split, cache.kl_column(up)).items():
+            c = _expand_in_kl_basis(cache, tvec).get(ident)
+            if c is not None:
                 out[(u, up)] = c
     return out

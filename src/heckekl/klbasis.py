@@ -36,7 +36,9 @@ permutations avoiding the patterns 3412 and 4231), and the pattern test.
 from __future__ import annotations
 
 import gzip
+import io
 import json
+import os
 from functools import cache, reduce
 from itertools import combinations
 from operator import or_
@@ -44,7 +46,7 @@ from typing import Iterable, Mapping
 
 from .coxeter import CoxeterSystem, Element, UnsupportedGroupError, format_word, parse_word
 from .hecke import HeckeElement, _wrap
-from .laurent import LaurentPoly, ONE, Q, QINV, ZERO
+from .laurent import LaurentPoly, ONE, Q, QINV, ZERO, unpack
 
 _CACHE_FORMAT = 1
 
@@ -54,8 +56,8 @@ _LIMIT = 1 << 62  # every packed coefficient stays below this
 
 
 def _decode(h: int) -> LaurentPoly:
-    """The polynomial whose value at q = 2^64 is h (h >= 0, digits < 2^64)."""
-    return LaurentPoly({e: h >> (_DIGIT * e) & _MASK for e in range(-(-h.bit_length() // _DIGIT))})
+    """The polynomial whose value at q = 2^64 is h (h >= 0, digits < 2^62)."""
+    return unpack(h, _DIGIT, 0)
 
 
 class KLCache:
@@ -66,9 +68,6 @@ class KLCache:
         self.system = system
         self._columns: dict[Element, dict[Element, LaurentPoly]] = {}
         self.computed = 0  # columns computed here rather than loaded
-        # right[s - 1][i] = index of els[i]*s, below i iff s is a right descent (indices follow length)
-        els, index = system.elements(), system.index
-        self._right = [[index(system.apply_right(w, s)) for w in els] for s in system.generators]
         self._packed: list[dict[int, int] | None] = [None] * system.order
         self._top = 1  # largest coefficient in any packed column so far
         self._polys = cache(_decode)  # intern table: equal entries share one LaurentPoly
@@ -103,7 +102,7 @@ class KLCache:
     def _compute(self, i: int) -> dict[int, int]:
         if i == 0:
             return {0: 1}
-        right = self._right[self.system.word(self.system.elements()[i])[-1] - 1]
+        right = self.system.right_index[self.system.word(self.system.elements()[i])[-1] - 1]
         colv = self._packed_column(right[i])
 
         # C_v C_s on pairs y < ys: h_y = h_{ys,v} + q h_{y,v} and
@@ -174,7 +173,8 @@ class KLCache:
     # -- persistence -------------------------------------------------------
 
     def save(self, path):
-        """Dump all cached columns as gzipped JSON keyed by canonical words."""
+        """Dump all cached columns as gzipped JSON keyed by canonical words,
+        atomically (os.replace of a file written in the same directory)."""
         sys = self.system
         obj = {
             "format": _CACHE_FORMAT,
@@ -188,8 +188,20 @@ class KLCache:
                 for w, col in sorted(self._columns.items(), key=lambda wc: sys.sort_key(wc[0]))
             },
         }
-        with gzip.open(path, "wt", encoding="utf-8") as fh:
-            json.dump(obj, fh)
+        # write a file beside path, then move it into place: a failed save
+        # leaves any previous file as it was
+        path = os.fspath(path)
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            # the gzip header names path, as when writing it directly
+            with open(tmp, "wb") as raw, gzip.GzipFile(path, "wb", fileobj=raw) as gz, io.TextIOWrapper(
+                gz, encoding="utf-8"
+            ) as fh:
+                json.dump(obj, fh)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):  # the save failed
+                os.unlink(tmp)
 
     @classmethod
     def load(cls, path, system: CoxeterSystem) -> "KLCache":

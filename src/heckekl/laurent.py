@@ -5,6 +5,13 @@ all arithmetic is exact (Python bignums) and the zero polynomial is the empty
 map.  The ring carries the bar operation q^k -> q^-k, which underlies the bar
 involution of the Hecke algebra.
 
+The module also owns the packed form used by the fast kernels: with a digit
+width K and an offset off, p becomes the integer (q^off * p)(2^K), one
+balanced signed digit in [-2^(K-1), 2^(K-1)) per exponent (Kronecker
+substitution).  Sums and products of packed ints are the packed sums and
+products while every coefficient stays inside a digit, and multiplying by
+q^-1 is an exact ``>> K`` while the lowest digit is 0.
+
 >>> p = Q + 1
 >>> p * p
 LaurentPoly('1*q^0 + 2*q^1 + 1*q^2')
@@ -16,6 +23,7 @@ True
 
 from __future__ import annotations
 
+import sys
 from typing import Iterator, Mapping
 
 
@@ -67,6 +75,10 @@ class LaurentPoly:
 
     def max_exp(self) -> int | None:
         return max(self._c) if self._c else None
+
+    def l1(self) -> int:
+        """Sum of the absolute values of the coefficients."""
+        return sum(map(abs, self._c.values()))
 
     def has_nonneg_coeffs(self) -> bool:
         return all(c >= 0 for c in self._c.values())
@@ -157,9 +169,39 @@ class LaurentPoly:
     def __repr__(self) -> str:
         return f"LaurentPoly({str(self)!r})"
 
-    def to_json_obj(self) -> dict[str, int]:
-        """{"exponent": coefficient} with keys in ascending exponent order."""
-        return {str(e): c for e, c in sorted(self._c.items())}
+    def to_json_obj(self) -> dict[str, int | str]:
+        """{"exponent": coefficient} with keys in ascending exponent order; a
+        coefficient with |c| >= 2^53 (beyond exact doubles) is a decimal string."""
+        return {str(e): c if -_JSON_EXACT < c < _JSON_EXACT else str(c) for e, c in sorted(self._c.items())}
+
+
+_JSON_EXACT = 1 << 53
+
+
+def pack(p: LaurentPoly, K: int, off: int) -> int:
+    """The integer (q^off * p)(2^K); every exponent e of p needs e + off >= 0
+    and every coefficient |c| < 2^(K-1)."""
+    return sum(c << K * (e + off) for e, c in p._c.items())
+
+
+def unpack(P: int, K: int, off: int) -> LaurentPoly:
+    """Inverse of pack: read P as balanced signed base-2^K digits."""
+    if not P:
+        return _wrap({})
+    low = ((P & -P).bit_length() - 1) // K  # digits below this one are 0
+    P >>= K * low
+    off -= low
+    n = abs(P).bit_length() // K + 1  # enough digits for any balanced expansion of P
+    if K == 64:
+        H = int.from_bytes(b"\0\0\0\0\0\0\0\x80" * n, "little")  # 2^63 in each digit
+        P += H  # every digit d becomes d + 2^63, in [0, 2^64): plain base-2^64 digits
+        # a digit u of P ^ H, read as a signed 64-bit int, is u - 2^63
+        digits = memoryview((P ^ H).to_bytes(8 * n, sys.byteorder)).cast("q")
+    else:
+        mask, half = (1 << K) - 1, 1 << K - 1
+        P += half * (((1 << K * n) - 1) // mask)  # the same with 2^(K-1) in each digit
+        digits = [(P >> K * j & mask) - half for j in range(n)]
+    return _wrap({j - off: d for j, d in enumerate(digits) if d})
 
 
 def _wrap(c: dict[int, int]) -> LaurentPoly:

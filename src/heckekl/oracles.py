@@ -49,9 +49,10 @@ def sign_project(h: HeckeElement, J: Iterable[int]) -> SignModuleElement:
     """
     sys = h.system
     J = sys.subset(J)
+    split = sys.coset_table(J)
     out: dict[Element, LaurentPoly] = {}
     for w, c in h.terms.items():
-        u, v = sys.parabolic_factorize_left(w, J)
+        u, v = split[w]
         lv = sys.length(v)
         contrib = c * LaurentPoly.q_power(lv, (-1) ** lv)
         s = out.get(u)
