@@ -8,7 +8,7 @@ parabolic subsets.  Supported groups: A(1..5), B(2..4), D(3..4), I2(3..24),
 larger parameters behind an explicit allow_large flag.
 """
 
-from .laurent import LaurentPoly, ZERO, ONE, Q, QINV
+from .laurent import ExactnessError, LaurentPoly, ZERO, ONE, Q, QINV
 from .coxeter import (
     CoxeterSystem,
     UnsupportedGroupError,
@@ -52,6 +52,7 @@ from .verification import CheckResult, SUITES, crystallographic_note, run_suite
 __version__ = "0.1.0"
 
 __all__ = [
+    "ExactnessError",
     "LaurentPoly",
     "ZERO",
     "ONE",

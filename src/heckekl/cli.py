@@ -32,7 +32,7 @@ from .hybrid import (
     parabolic_kl,
     restriction_coeffs,
 )
-from .laurent import ZERO
+from .laurent import ExactnessError, ZERO
 from .verification import crystallographic_note, run_suite
 
 _EMPTY_TOKENS = {"", "e", "@", "∅"}
@@ -331,9 +331,9 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.fn(args)
-    # OSError covers gzip.BadGzipFile; RuntimeError is the KL guard on a damaged loaded column
-    except (ValueError, OSError, EOFError, zlib.error, RuntimeError) as exc:
-        print(f"error: {exc or type(exc).__name__}", file=sys.stderr)
+    # OSError covers gzip.BadGzipFile; ExactnessError is the KL guard on a damaged loaded column
+    except (ValueError, OSError, EOFError, zlib.error, ExactnessError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

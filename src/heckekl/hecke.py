@@ -32,14 +32,15 @@ bit_length(B) + 2), so huge inputs take the same code with wider digits:
   walk the indices downward and add T_t A_y into A_{yt} (t a right descent
   of y, T_y = T_{yt} T_t); the result is A_e.
 * bar: B = sum_x |a_x|_1 |bar T_x|_1 <= sum_x |a_x|_1 3^l(x), against one
-  packed table of bar(T_x) per system and K, built lazily from
-  bar(T_x) = bar(T_s) bar(T_{sx}), s the first letter of x.
+  packed table of bar(T_x) per system (started afresh when K changes),
+  filled lazily from bar(T_x) = bar(T_s) bar(T_{sx}), s the first letter
+  of x.
 
 The offset is chosen so that no exponent of any intermediate drops below 0
 (the product applies at most l(x) factors q^-1 to a_x b; bar(T_x) has
 exponents >= -l(w0)), so each q^-1 step is an exact ``>> K``.  The low digit
 of every operand of such a shift is checked (an OR of them, as in the KL
-guard), and a step that was not exact raises RuntimeError.
+guard), and a step that was not exact raises ExactnessError.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from typing import Iterable, Mapping
 from weakref import WeakKeyDictionary
 
 from .coxeter import CoxeterSystem, Element
-from .laurent import LaurentPoly, ONE, ZERO, pack, unpack
+from .laurent import ExactnessError, LaurentPoly, ONE, ZERO, pack, unpack
 
 
 class MixedSystemError(ValueError):
@@ -271,7 +272,7 @@ def _width(bound: int) -> int:
 
 def _check_exact(low: int, K: int):
     if low & (1 << K) - 1:
-        raise RuntimeError("packed Hecke arithmetic: a division by q was not exact")
+        raise ExactnessError("packed Hecke arithmetic: a division by q was not exact")
 
 
 def _unpack_terms(system: CoxeterSystem, packed: dict[int, int], K: int, off: int) -> HeckeElement:
@@ -287,21 +288,23 @@ def _unpack_terms(system: CoxeterSystem, packed: dict[int, int], K: int, off: in
     return _wrap(system, terms)
 
 
-_BAR_ROWS: "WeakKeyDictionary[CoxeterSystem, dict]" = WeakKeyDictionary()
+_BAR_ROWS: "WeakKeyDictionary[CoxeterSystem, tuple[int, list]]" = WeakKeyDictionary()
 
 
 def _bar_rows(system: CoxeterSystem, K: int):
     """x -> bar(T_x) as {index: packed coefficient}, offset l(w0), width K.
 
-    One lazily filled table per system and K.  bar(T_s) = T_s + (q - q^-1),
-    so with s the first letter of x, bar(T_x) = bar(T_s) bar(T_{sx}), and
-    bar(T_s) T_w is T_sw + (q - q^-1) T_w if sw > w and T_sw otherwise.
+    One lazily filled table per system, started afresh when K changes (a
+    table per width would keep one for every width ever asked for).
+    bar(T_s) = T_s + (q - q^-1), so with s the first letter of x,
+    bar(T_x) = bar(T_s) bar(T_{sx}), and bar(T_s) T_w is
+    T_sw + (q - q^-1) T_w if sw > w and T_sw otherwise.
     """
-    per_width = _BAR_ROWS.setdefault(system, {})
-    rows = per_width.get(K)
-    if rows is None:
-        rows = per_width[K] = [None] * system.order
+    width, rows = _BAR_ROWS.get(system, (None, None))
+    if width != K:
+        rows = [None] * system.order
         rows[0] = {0: 1 << K * system.length(system.longest_element())}
+        _BAR_ROWS[system] = K, rows
     els = system.elements()
 
     def row(x: int) -> dict[int, int]:

@@ -22,7 +22,7 @@ h_{x,w} in qZ[q] for x < w.  Two independent computations are provided:
 Inside KLCache elements are their positions in system.elements() and each
 h_{x,w} in Z[q] is one Python int, its value at q = 2^64.  With v = ws, the
 coefficient of C_v C_s at y is h_{ys,v} + (h_{y,v} >> 64 if ys < y, else
-h_{y,v} << 64); mu is digit 1.  A guard raises RuntimeError naming the
+h_{y,v} << 64); mu is digit 1.  A guard raises ExactnessError naming the
 column unless its diagonal is 1, each >> 64 was exact, (2 + sum of mu) *
 (largest coefficient so far) < 2^62 (so decoding is unique) and all entries
 are >= 0 with digits < 2^62.  Loaded columns are packed when first read and
@@ -46,7 +46,7 @@ from typing import Iterable, Mapping
 
 from .coxeter import CoxeterSystem, Element, UnsupportedGroupError, format_word, parse_word
 from .hecke import HeckeElement, _wrap
-from .laurent import LaurentPoly, ONE, Q, QINV, ZERO, unpack
+from .laurent import ExactnessError, LaurentPoly, ONE, Q, QINV, ZERO, pack, unpack
 
 _CACHE_FORMAT = 1
 
@@ -91,10 +91,9 @@ class KLCache:
         if self._packed[i] is None:
             loaded = self.kl_column(self.system.elements()[i])
             if self._packed[i] is None:  # loaded: pack it, behind the guard
-                terms = {self.system.index(x): list(p.items()) for x, p in loaded.items()}
-                if any(e < 0 or not 0 <= c < _LIMIT for t in terms.values() for e, c in t):
+                if any(e < 0 or not 0 <= c < _LIMIT for p in loaded.values() for e, c in p.items()):
                     self._fail(i, "a loaded entry is not in Z[q] with coefficients in [0, 2^62)")
-                col = {x: sum(c << (_DIGIT * e) for e, c in t) for x, t in terms.items()}
+                col = {self.system.index(x): pack(p, _DIGIT, 0) for x, p in loaded.items()}
                 self._guard(i, col)
                 self._packed[i] = col
         return self._packed[i]
@@ -149,7 +148,7 @@ class KLCache:
 
     def _fail(self, i: int, why: str):
         word = format_word(self.system.word(self.system.elements()[i])) or "e"
-        raise RuntimeError(f"KL column {word}: {why}")
+        raise ExactnessError(f"KL column {word}: {why}")
 
     # -- public accessors ------------------------------------------------
 

@@ -23,7 +23,6 @@ True
 
 from __future__ import annotations
 
-import sys
 from typing import Iterator, Mapping
 
 
@@ -178,9 +177,14 @@ class LaurentPoly:
 _JSON_EXACT = 1 << 53
 
 
+class ExactnessError(RuntimeError):
+    """A packed computation could not be decoded exactly (a division by q
+    left a remainder, or a coefficient could outgrow its digit)."""
+
+
 def pack(p: LaurentPoly, K: int, off: int) -> int:
     """The integer (q^off * p)(2^K); every exponent e of p needs e + off >= 0
-    and every coefficient |c| < 2^(K-1)."""
+    and every coefficient -2^(K-1) <= c < 2^(K-1)."""
     return sum(c << K * (e + off) for e, c in p._c.items())
 
 
@@ -191,17 +195,12 @@ def unpack(P: int, K: int, off: int) -> LaurentPoly:
     low = ((P & -P).bit_length() - 1) // K  # digits below this one are 0
     P >>= K * low
     off -= low
-    n = abs(P).bit_length() // K + 1  # enough digits for any balanced expansion of P
-    if K == 64:
-        H = int.from_bytes(b"\0\0\0\0\0\0\0\x80" * n, "little")  # 2^63 in each digit
-        P += H  # every digit d becomes d + 2^63, in [0, 2^64): plain base-2^64 digits
-        # a digit u of P ^ H, read as a signed 64-bit int, is u - 2^63
-        digits = memoryview((P ^ H).to_bytes(8 * n, sys.byteorder)).cast("q")
-    else:
-        mask, half = (1 << K) - 1, 1 << K - 1
-        P += half * (((1 << K * n) - 1) // mask)  # the same with 2^(K-1) in each digit
-        digits = [(P >> K * j & mask) - half for j in range(n)]
-    return _wrap({j - off: d for j, d in enumerate(digits) if d})
+    # enough digits for any balanced expansion of P: a top digit of +-1 over
+    # a digit of -+2^(K-1) is worth only about 2^(K(n-1)-1)
+    n = abs(P).bit_length() // K + 2
+    mask, half = (1 << K) - 1, 1 << K - 1
+    P += half * (((1 << K * n) - 1) // mask)  # every digit d becomes d + 2^(K-1), in [0, 2^K)
+    return _wrap({j - off: d for j in range(n) if (d := (P >> K * j & mask) - half)})
 
 
 def _wrap(c: dict[int, int]) -> LaurentPoly:

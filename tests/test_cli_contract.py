@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 
 from heckekl import KLCache, coxeter_system
-from heckekl import klbasis
+from heckekl import cli, klbasis
 from heckekl.cli import main
+from heckekl.laurent import ExactnessError
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -84,6 +85,25 @@ def test_damaged_loaded_column_is_a_clean_error(tmp_path, capsys):
     code, out, err = run(capsys, "kl", "--group", "A2", "--cache-dir", str(cache_dir))
     assert_clean_error(code, out, err)
     assert "KL column 1,2" in err
+
+
+def test_exactness_error_without_a_message_names_its_type(capsys, monkeypatch):
+    def fail(args):
+        raise ExactnessError()
+
+    monkeypatch.setattr(cli, "cmd_verify", fail)
+    code, out, err = run(capsys, "verify", "--group", "A1")
+    assert_clean_error(code, out, err)
+    assert err == "error: ExactnessError\n"
+
+
+def test_other_runtime_errors_are_not_swallowed(monkeypatch):
+    def fail(args):
+        raise RecursionError("an internal bug")
+
+    monkeypatch.setattr(cli, "cmd_verify", fail)
+    with pytest.raises(RecursionError):
+        main(["verify", "--group", "A1"])
 
 
 def test_failed_save_leaves_the_previous_file(tmp_path, monkeypatch):

@@ -7,8 +7,9 @@ import random
 import pytest
 
 from heckekl import LaurentPoly, coxeter_system, parabolic_kl, restriction_coeffs, t_basis
+from heckekl import hecke
 from heckekl.hecke import _add, _check_exact, _wrap
-from heckekl.laurent import ONE, pack, unpack
+from heckekl.laurent import ONE, ExactnessError, pack, unpack
 from conftest import get_cache
 
 _QINV_MINUS_Q = LaurentPoly({-1: 1, 1: -1})
@@ -94,6 +95,10 @@ def test_pack_unpack_round_trip(K):
     # the extreme digits, next to each other
     p = LaurentPoly({0: -half, 1: half - 1, 2: -half, 5: 1})
     assert unpack(pack(p, K, 0), K, 0) == p
+    # a top digit of +-1 over -+2^(K-1): P has fewer bits than its digits suggest
+    for p in ({0: -1, 1: -half, 2: 1}, {0: 1, 1: half - 1, 2: -half, 3: 1}, {-3: -5, -2: -half, 4: 1}):
+        p = LaurentPoly(p)
+        assert unpack(pack(p, K, 3), K, 3) == p
 
 
 def test_json_emits_large_coefficients_as_strings():
@@ -106,7 +111,7 @@ def test_json_emits_large_coefficients_as_strings():
 def test_inexact_division_raises():
     _check_exact(0, 64)
     _check_exact(-(1 << 64), 64)
-    with pytest.raises(RuntimeError, match="not exact"):
+    with pytest.raises(ExactnessError, match="not exact"):
         _check_exact(1 << 63, 64)
 
 
@@ -140,6 +145,18 @@ def test_packed_bar_matches_reference(group):
         assert h.bar() == ref_bar(h)
     for x in s.elements():
         assert t_basis(s, x).bar().terms == ref_bar_t(s, x)
+
+
+def test_bar_keeps_one_table_per_system():
+    s = coxeter_system("B3")
+    x = s.longest_element()
+    narrow, wide = t_basis(s, x), t_basis(s, x).scale(2**200)
+    assert narrow.bar().terms == ref_bar_t(s, x)
+    assert hecke._BAR_ROWS[s][0] == 64
+    assert wide.bar() == ref_bar(wide)
+    assert hecke._BAR_ROWS[s][0] > 64  # the wider table replaced the narrow one
+    assert narrow.bar().terms == ref_bar_t(s, x)
+    assert hecke._BAR_ROWS[s][0] == 64
 
 
 # ---------------------------------------------------------------------------
