@@ -1,12 +1,15 @@
 """Finite Coxeter groups of types A, B, D and I2(m) with combinatorial services.
 
 Each group is realized concretely (one-line permutations for A, signed
-permutations for B and D, rotation/reflection pairs for I2) and enumerated
-eagerly at construction.  On top of the realization the system precomputes,
-per element: length, left/right multiplication tables by generators,
-descent sets, the inverse, and the ShortLex canonical reduced word (greedy
-smallest left descent).  Canonical element order is (length, word) and is
-the order used for every matrix and listing in the package.
+permutations for B and D, rotation/reflection pairs for I2); the realization
+gives only the identity, the generators and the product.  Everything else
+comes from one breadth-first enumeration at construction: the length of w is
+the level at which w is first reached, the right and left multiplication
+tables by generators are read off the product, and from those follow the
+descent sets, the ShortLex canonical reduced word (greedy smallest left
+descent) and the inverse (w^-1 = (s w)^-1 s for s the first letter of the
+word).  Canonical element order is (length, word) and is the order used for
+every matrix and listing in the package.
 
 Generators are named 1..rank.  Conventions:
 
@@ -17,7 +20,9 @@ Generators are named 1..rank.  Conventions:
   (-b, -a, ...), generator j >= 2 as in B; m(1,2) = 2, m(1,3) = 3.
 * I2(m): dihedral of order 2m; elements are (length, first-letter) pairs.
 
-Bruhat order is computed by the standard lifting recursion and memoized.
+Bruhat order is one bitset per element, the lower interval [e, w] over
+canonical indices, built on first use by the lifting property
+[e, w] = [e, sw] u s[e, sw] (s a left descent of w).
 Groups are capped at desk scale (A5/B4/D4/I2(24)) unless allow_large=True.
 """
 
@@ -25,7 +30,7 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 Element = tuple
 Word = tuple[int, ...]
@@ -58,15 +63,6 @@ class _TypeA:
     def multiply(self, a: Element, b: Element) -> Element:
         return tuple(a[v - 1] for v in b)
 
-    def inverse(self, a: Element) -> Element:
-        out = [0] * len(a)
-        for pos, v in enumerate(a, 1):
-            out[v - 1] = pos
-        return tuple(out)
-
-    def length(self, w: Element) -> int:
-        return _inversions(w)
-
 
 class _TypeB:
     """Signed permutations as one-line tuples with entries ±1..±n."""
@@ -89,28 +85,13 @@ class _TypeB:
     def multiply(self, a: Element, b: Element) -> Element:
         return tuple(a[v - 1] if v > 0 else -a[-v - 1] for v in b)
 
-    def inverse(self, a: Element) -> Element:
-        out = [0] * len(a)
-        for pos, v in enumerate(a, 1):
-            if v > 0:
-                out[v - 1] = pos
-            else:
-                out[-v - 1] = -pos
-        return tuple(out)
 
-    def length(self, w: Element) -> int:
-        return _inversions(w) + sum(-v for v in w if v < 0)
-
-
-class _TypeD:
+class _TypeD(_TypeB):
     """Even-signed permutations."""
 
     def __init__(self, n: int):
         self.rank = n
         self.order_formula = 2 ** (n - 1) * _factorial(n)
-
-    def identity(self) -> Element:
-        return tuple(range(1, self.rank + 1))
 
     def gen(self, i: int) -> Element:
         e = list(self.identity())
@@ -119,12 +100,6 @@ class _TypeD:
         else:
             e[i - 2], e[i - 1] = e[i - 1], e[i - 2]
         return tuple(e)
-
-    multiply = _TypeB.multiply
-    inverse = _TypeB.inverse
-
-    def length(self, w: Element) -> int:
-        return _inversions(w) + sum(-v - 1 for v in w if v < 0)
 
 
 class _TypeI2:
@@ -176,12 +151,13 @@ class _TypeI2:
             return self._from_rot(ra + rb, fb)
         return self._from_rot(ra - rb, 1 - fb)
 
-    def inverse(self, a: Element) -> Element:
-        ra, fa = self._to_rot(a)
-        return a if fa else self._from_rot(-ra, 0)
 
-    def length(self, w: Element) -> int:
-        return w[0]
+def _bits(b: int):
+    """The positions of the set bits of b >= 0, ascending."""
+    while b:
+        low = b & -b
+        yield low.bit_length() - 1
+        b ^= low
 
 
 def _factorial(n: int) -> int:
@@ -189,11 +165,6 @@ def _factorial(n: int) -> int:
     for k in range(2, n + 1):
         out *= k
     return out
-
-
-def _inversions(w: Sequence[int]) -> int:
-    n = len(w)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +196,6 @@ class CoxeterSystem:
         self.rank = real.rank
         self.generators = tuple(range(1, self.rank + 1))
         self._build()
-        self._bruhat: dict[tuple[Element, Element], bool] = {}
         self._subgroup_cache: dict[frozenset, tuple[Element, ...]] = {}
         self._reps_cache: dict[tuple[frozenset, str], tuple[Element, ...]] = {}
         self._coset_tables: dict[frozenset, dict[Element, tuple[Element, Element]]] = {}
@@ -235,28 +205,28 @@ class CoxeterSystem:
     def _build(self):
         real = self._real
         ident = real.identity()
-        gens = {i: real.gen(i) for i in self.generators}
+        gens = [real.gen(i) for i in self.generators]
 
-        seen = {ident}
+        # breadth-first along right multiplication: the level at which w is
+        # first reached is l(w), and the rows are the right table
+        length = {ident: 0}
+        right: dict[Element, tuple[Element, ...]] = {}
         frontier = [ident]
         while frontier:
             nxt = []
             for w in frontier:
-                for g in gens.values():
-                    v = real.multiply(w, g)
-                    if v not in seen:
-                        seen.add(v)
+                row = right[w] = tuple(real.multiply(w, g) for g in gens)
+                for v in row:
+                    if v not in length:
+                        length[v] = length[w] + 1
                         nxt.append(v)
             frontier = nxt
-        if len(seen) != real.order_formula:
-            raise RuntimeError(f"enumeration produced {len(seen)} elements, expected {real.order_formula}")
-
-        length = {w: real.length(w) for w in seen}
-        right = {w: tuple(real.multiply(w, gens[i]) for i in self.generators) for w in seen}
-        left = {w: tuple(real.multiply(gens[i], w) for i in self.generators) for w in seen}
+        if len(length) != real.order_formula:
+            raise RuntimeError(f"enumeration produced {len(length)} elements, expected {real.order_formula}")
+        left = {w: tuple(real.multiply(g, w) for g in gens) for w in length}
 
         word: dict[Element, Word] = {ident: ()}
-        for w in sorted(seen, key=length.get):
+        for w in length:  # BFS order: shorter elements first
             if w == ident:
                 continue
             for i in self.generators:
@@ -265,7 +235,12 @@ class CoxeterSystem:
                     word[w] = (i,) + word[sw]
                     break
 
-        order = sorted(seen, key=lambda w: (length[w], word[w]))
+        order = sorted(length, key=lambda w: (length[w], word[w]))
+        # w^-1 = (s w)^-1 s for s the first letter of w's word; s w comes first
+        inverse = {ident: ident}
+        for w in order[1:]:
+            s = word[w][0]
+            inverse[w] = right[inverse[left[w][s - 1]]][s - 1]
         self._elements = tuple(order)
         self._index = {w: k for k, w in enumerate(order)}
         self._length = length
@@ -273,12 +248,12 @@ class CoxeterSystem:
         self._right = right
         self._left = left
         self._rdesc = {
-            w: frozenset(i for i in self.generators if length[right[w][i - 1]] < length[w]) for w in seen
+            w: frozenset(i for i in self.generators if length[right[w][i - 1]] < length[w]) for w in order
         }
         self._ldesc = {
-            w: frozenset(i for i in self.generators if length[left[w][i - 1]] < length[w]) for w in seen
+            w: frozenset(i for i in self.generators if length[left[w][i - 1]] < length[w]) for w in order
         }
-        self._inverse = {w: real.inverse(w) for w in seen}
+        self._inverse = inverse
         self.identity = ident
 
     # -- basic queries ---------------------------------------------------
@@ -376,32 +351,28 @@ class CoxeterSystem:
 
     # -- Bruhat order ------------------------------------------------------
 
+    @cached_property
+    def _below(self) -> list[int]:
+        """_below[k] has bit j set iff elements()[j] <= elements()[k]: by lifting,
+        [e, w] = [e, sw] u s[e, sw] for s the first letter of w's word."""
+        below = [1]
+        for k in range(1, self.order):
+            s = self._word[self._elements[k]][0]
+            left = self.left_index[s - 1]
+            b = out = below[left[k]]
+            for j in _bits(b):
+                out |= 1 << left[j]
+            below.append(out)
+        return below
+
     def bruhat_leq(self, u: Element, w: Element) -> bool:
-        """u <= w in Bruhat order, by the lifting recursion (memoized)."""
-        if u == w:
-            return True
-        lu, lw = self._length[u], self._length[w]
-        if lu >= lw:
-            return False
-        if lu == 0:
-            return True
-        key = (u, w)
-        cached = self._bruhat.get(key)
-        if cached is not None:
-            return cached
-        s = min(self._ldesc[w])
-        sw = self._left[w][s - 1]
-        su = self._left[u][s - 1]
-        if self._length[su] < lu:
-            res = self.bruhat_leq(su, sw)
-        else:
-            res = self.bruhat_leq(u, sw)
-        self._bruhat[key] = res
-        return res
+        """u <= w in Bruhat order."""
+        return self._below[self._index[w]] >> self._index[u] & 1 == 1
 
     def bruhat_interval(self, w: Element) -> list[Element]:
         """[identity, w] in canonical order."""
-        return [x for x in self._elements if self.bruhat_leq(x, w)]
+        els = self._elements
+        return [els[j] for j in _bits(self._below[self._index[w]])]
 
     # -- parabolic machinery -------------------------------------------------
 
@@ -421,7 +392,7 @@ class CoxeterSystem:
         J = self.subset(J)
         got = self._subgroup_cache.get(J)
         if got is None:
-            got = tuple(w for w in self._elements if set(self._word[w]) <= J)
+            got = tuple(w for w in self._elements if self.in_parabolic(w, J))
             self._subgroup_cache[J] = got
         return got
 
@@ -466,16 +437,10 @@ class CoxeterSystem:
         return self.coset_table(J)[w]
 
     def parabolic_factorize_right(self, w: Element, J: Iterable[int]) -> tuple[Element, Element]:
-        """The unique (v, u) with w = v*u, v in W_J, u in ^JW, lengths adding."""
-        J = self.subset(J)
-        v, u = self.identity, w
-        while True:
-            ds = self._ldesc[u] & J
-            if not ds:
-                return v, u
-            s = min(ds)
-            u = self._left[u][s - 1]
-            v = self._right[v][s - 1]
+        """The unique (v, u) with w = v*u, v in W_J, u in ^JW, lengths adding:
+        the inverses of the left split of w^-1."""
+        u, v = self.coset_table(J)[self._inverse[w]]
+        return self._inverse[v], self._inverse[u]
 
 
 # ---------------------------------------------------------------------------

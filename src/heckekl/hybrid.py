@@ -149,12 +149,7 @@ def restriction_coeffs(
         raise ValueError(
             f"u is not a minimal coset representative: generator {min(bad)} is a right descent in J"
         )
-    split = sys.coset_table(J)
-    tvec: dict[Element, LaurentPoly] = {}
-    for x, hpoly in cache.kl_column(w).items():
-        xu, xv = split[x]
-        if xu == u:
-            tvec[xv] = hpoly
+    tvec = _split_by_coset(sys.coset_table(J), cache.kl_column(w)).get(u, {})
     return _expand_in_kl_basis(cache, tvec)
 
 

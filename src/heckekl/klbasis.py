@@ -210,14 +210,13 @@ class KLCache:
             raise ValueError(f"unsupported cache format {obj.get('format')!r}")
         if obj.get("group") != system.type_string:
             raise ValueError(f"cache is for group {obj.get('group')!r}, not {system.type_string}")
-        cache = cls(system)
+        out = cls(system)
+        element = cache(lambda text: system.element_from_word(parse_word(text)))  # each word parsed once
         for wtext, col in obj["columns"].items():
-            w = system.element_from_word(parse_word(wtext))
-            cache._columns[w] = {
-                system.element_from_word(parse_word(xtext)): LaurentPoly.from_json_obj(p)
-                for xtext, p in col.items()
+            out._columns[element(wtext)] = {
+                element(xtext): LaurentPoly.from_json_obj(p) for xtext, p in col.items()
             }
-        return cache
+        return out
 
 
 class KLOracle:
@@ -270,11 +269,7 @@ def bruhat_interval_element(system: CoxeterSystem, w: Element) -> HeckeElement:
     groups, and in type A iff w avoids 3412 and 4231.
     """
     lw = system.length(w)
-    terms = {
-        y: LaurentPoly.q_power(lw - system.length(y))
-        for y in system.elements()
-        if system.bruhat_leq(y, w)
-    }
+    terms = {y: LaurentPoly.q_power(lw - system.length(y)) for y in system.bruhat_interval(w)}
     return _wrap(system, terms)
 
 

@@ -54,13 +54,7 @@ def sign_project(h: HeckeElement, J: Iterable[int]) -> SignModuleElement:
     for w, c in h.terms.items():
         u, v = split[w]
         lv = sys.length(v)
-        contrib = c * LaurentPoly.q_power(lv, (-1) ** lv)
-        s = out.get(u)
-        s = contrib if s is None else s + contrib
-        if s.is_zero():
-            out.pop(u, None)
-        else:
-            out[u] = s
+        _add(out, u, c * LaurentPoly.q_power(lv, (-1) ** lv))
     return SignModuleElement(sys, J, out)
 
 
