@@ -45,7 +45,7 @@ def _parse_subset(text: str) -> frozenset[int]:
     out = set()
     for tok in text.split(","):
         tok = tok.strip()
-        if not tok.isdigit():
+        if not (tok.isascii() and tok.isdigit()):  # "²".isdigit() too, but int() rejects it
             raise ValueError(f"invalid generator index {tok!r} in subset {text!r}")
         out.add(int(tok))
     return frozenset(out)

@@ -199,6 +199,7 @@ class CoxeterSystem:
         self._subgroup_cache: dict[frozenset, tuple[Element, ...]] = {}
         self._reps_cache: dict[tuple[frozenset, str], tuple[Element, ...]] = {}
         self._coset_tables: dict[frozenset, dict[Element, tuple[Element, Element]]] = {}
+        self._coset_indices: dict[frozenset, tuple[list, dict]] = {}
 
     # -- construction --------------------------------------------------
 
@@ -431,6 +432,20 @@ class CoxeterSystem:
                 else:
                     table[w] = (w, self.identity)
         return table
+
+    def coset_index(self, J: Iterable[int]) -> tuple[list[tuple[int, int]], dict[int, dict[int, int]]]:
+        """coset_table(J) on indices: split[k] = (index of u, index of v) for
+        elements()[k] = u*v, and join[u][v] = k.  Built once per J; read-only."""
+        J = self.subset(J)
+        got = self._coset_indices.get(J)
+        if got is None:
+            table, index = self.coset_table(J), self._index
+            split = [(index[u], index[v]) for u, v in map(table.__getitem__, self._elements)]
+            join: dict[int, dict[int, int]] = {}
+            for k, (u, v) in enumerate(split):
+                join.setdefault(u, {})[v] = k
+            got = self._coset_indices[J] = split, join
+        return got
 
     def parabolic_factorize_left(self, w: Element, J: Iterable[int]) -> tuple[Element, Element]:
         """The unique (u, v) with w = u*v, u in W^J, v in W_J, lengths adding."""

@@ -21,11 +21,12 @@ the standard bilinear form (bar-semilinear in the first slot, with
 (bar T_x, T_y) = delta_{x,y}), and two-sided-linear restriction to a
 parabolic subalgebra H_J, which keeps exactly the terms supported on W_J.
 
-The product and bar run on packed coefficients (laurent.pack): elements
+The product, bar and form run on packed coefficients (laurent.pack): elements
 become maps index -> int, each coefficient p stored as (q^off p)(2^K), and
 are decoded once on exit.  The digit width comes from an a-priori bound B
-on the L1 norm of every coefficient the call can form, K = max(64,
-bit_length(B) + 2), so huge inputs take the same code with wider digits:
+on the L1 norm of every coefficient the call can form, K = laurent.width(B)
+= max(64, bit_length(B) + 2), so huge inputs take the same code with wider
+digits:
 
 * product a*b: B = |b|_1 * sum_x |a_x|_1 3^l(x), since each T_s step at
   most triples the L1 norm.  Horner over right descents: with A_x = a_x b,
@@ -50,7 +51,7 @@ from typing import Iterable, Mapping
 from weakref import WeakKeyDictionary
 
 from .coxeter import CoxeterSystem, Element
-from .laurent import ExactnessError, LaurentPoly, ONE, ZERO, pack, unpack
+from .laurent import ExactnessError, LaurentPoly, ONE, ZERO, pack, unpack, width
 
 
 class MixedSystemError(ValueError):
@@ -145,7 +146,7 @@ class HeckeElement:
         if not self.terms or not other.terms:
             return _wrap(sys, {})
         index, length, els = sys.index, sys.length, sys.elements()
-        K = _width(
+        K = width(
             sum(c.l1() for c in other.terms.values())
             * sum(c.l1() * 3 ** length(a) for a, c in self.terms.items())
         )
@@ -190,7 +191,7 @@ class HeckeElement:
         if not self.terms:
             return _wrap(sys, {})
         index, length = sys.index, sys.length
-        K = _width(sum(c.l1() * 3 ** length(x) for x, c in self.terms.items()))
+        K = width(sum(c.l1() * 3 ** length(x) for x, c in self.terms.items()))
         off = max(c.max_exp() for c in self.terms.values())  # bar(c) has exponents >= -off
         row = _bar_rows(sys, K)
         out: dict[int, int] = {}
@@ -238,15 +239,33 @@ def form(a: HeckeElement, b: HeckeElement) -> LaurentPoly:
     T_x-coefficient of b.  Z-bilinear, bar-semilinear in the first slot over
     Z[q,q^-1], and adjoint to multiplication via omega:
     form(a*h, h2) == form(h, a.omega()*h2).
+
+    Only the terms of bar(a) on the support of b are formed, packed as in
+    bar: sum over y in supp(a) of bar(a_y) * sum over x in supp(b) of
+    bar(T_y)[x] b_x, with |result|_1 <= sum_y |a_y|_1 3^l(y) * max_x |b_x|_1.
     """
     a._check(b)
-    abar = a.bar()
-    out = ZERO
-    for x, c in abar.terms.items():
-        d = b.terms.get(x)
-        if d is not None:
-            out = out + c * d
-    return out
+    sys = a.system
+    if not a.terms or not b.terms:
+        return ZERO
+    index, length = sys.index, sys.length
+    K = width(
+        sum(c.l1() * 3 ** length(y) for y, c in a.terms.items()) * max(c.l1() for c in b.terms.values())
+    )
+    off_a = max(c.max_exp() for c in a.terms.values())  # bar(a_y) has exponents >= -off_a
+    off_b = -min(c.min_exp() for c in b.terms.values())
+    bd = {index(x): pack(c, K, off_b) for x, c in b.terms.items()}
+    row = _bar_rows(sys, K)
+    total = 0
+    for y, c in a.terms.items():
+        r = row(index(y))
+        if len(bd) < len(r):
+            s = sum(r.get(x, 0) * d for x, d in bd.items())
+        else:
+            s = sum(t * bd[x] for x, t in r.items() if x in bd)
+        if s:
+            total += pack(c.bar(), K, off_a) * s
+    return unpack(total, K, off_a + off_b + length(sys.longest_element()))
 
 
 def _wrap(system: CoxeterSystem, terms: dict[Element, LaurentPoly]) -> HeckeElement:
@@ -263,11 +282,6 @@ def _add(d: dict[Element, LaurentPoly], w: Element, c: LaurentPoly):
         d.pop(w, None)
     else:
         d[w] = s
-
-
-def _width(bound: int) -> int:
-    """Digit width for packed coefficients of absolute value at most bound."""
-    return max(64, bound.bit_length() + 2)
 
 
 def _check_exact(low: int, K: int):
@@ -300,8 +314,8 @@ def _bar_rows(system: CoxeterSystem, K: int):
     bar(T_x) = bar(T_s) bar(T_{sx}), and bar(T_s) T_w is
     T_sw + (q - q^-1) T_w if sw > w and T_sw otherwise.
     """
-    width, rows = _BAR_ROWS.get(system, (None, None))
-    if width != K:
+    have, rows = _BAR_ROWS.get(system, (None, None))
+    if have != K:
         rows = [None] * system.order
         rows[0] = {0: 1 << K * system.length(system.longest_element())}
         _BAR_ROWS[system] = K, rows

@@ -24,18 +24,39 @@ are block-diagonal across W^J-cosets with identical blocks, so only one
 subsets factor the KL matrix into such transition matrices, each with
 entries in Z_{>=0}[q]; multiplying the factors back together is the main
 end-to-end identity the test suite checks.
+
+The arithmetic runs on packed ints (laurent.pack: a coefficient p becomes
+(q^off p)(2^K)) keyed by element index, and decodes to LaurentPoly only on
+the way out, each distinct value once.  The digit width K always comes
+from laurent.width applied to a bound on the L1 norms:
+
+* back-substitution (expand_in_hybrid, restriction_coeffs, parabolic_kl,
+  the block of transition_matrix) reads the KL columns the KL kernel
+  packed (KLCache._packed_column, so a first read still goes through
+  kl_column).  Inputs read from KL columns are in Z[q], offset 0;
+  expand_in_hybrid packs the coefficients of a Hecke element with the
+  offset that lifts its lowest exponent to 0.  Next to each work value runs
+  an integer bound on its L1 norm: the input's, plus |d_v|_1 times the
+  largest |h_{x,v}|_1 of column v for every d_v whose column reaches it.
+  If a bound reaches 2^(K-2), the whole call runs again at the width the
+  bounds give, with the KL columns repacked at that width for the call;
+  ExactnessError if that width is no wider.
+* matmul takes K from the a-priori bound (largest |a_xy|_1) * (largest
+  column sum of |b_yw|_1) on every entry of the product, and raises
+  ExactnessError if the bound does not fit.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from typing import Iterable
 
 from .coxeter import CoxeterSystem, Element, format_word
 from .hecke import HeckeElement, t_basis
-from .klbasis import KLCache
-from .laurent import LaurentPoly, ZERO
+from .klbasis import _DIGIT as _KL_WIDTH, KLCache
+from .laurent import ExactnessError, LaurentPoly, ZERO, pack, unpack, width
 
 
 @dataclass(frozen=True)
@@ -78,59 +99,19 @@ def expand_in_hybrid(
     if spec.orientation == "CT":
         inner = expand_in_hybrid(cache, h.psi(), HybridBasisSpec(J, "TC"))
         return {sys.inverse(x): c for x, c in inner.items()}
+    if not h.terms:
+        return {}
+    split, join = sys.coset_index(J)
+    index, els = sys.index, sys.elements()
+    off = -min(c.min_exp() for c in h.terms.values())  # every exponent + off >= 0
+    bound = max(c.l1() for c in h.terms.values())
 
-    by_coset = _split_by_coset(sys.coset_table(J), h.terms)
-    out: dict[Element, LaurentPoly] = {}
-    for u, tvec in by_coset.items():
-        for v, c in _expand_in_kl_basis(cache, tvec).items():
-            out[sys.multiply(u, v)] = c
-    return out
+    def run(solver: _Solver) -> dict[Element, LaurentPoly]:
+        pieces = _pieces(split, {index(x): pack(c, solver.K, off) for x, c in h.terms.items()})
+        decode = solver.decoder(off)
+        return {els[x]: decode(d) for x, d in _solve_pieces(solver, pieces, join, bound).items()}
 
-
-def _split_by_coset(
-    split: dict[Element, tuple[Element, Element]], terms: dict[Element, LaurentPoly]
-) -> dict[Element, dict[Element, LaurentPoly]]:
-    """u -> {v: terms[uv]}, the part of terms on each coset uW_J (split: coset_table(J))."""
-    by_coset: dict[Element, dict[Element, LaurentPoly]] = {}
-    for x, c in terms.items():
-        u, v = split[x]
-        by_coset.setdefault(u, {})[v] = c
-    return by_coset
-
-
-def _expand_in_kl_basis(
-    cache: KLCache, tvec: dict[Element, LaurentPoly]
-) -> dict[Element, LaurentPoly]:
-    """Solve sum_v d_v C_v = sum_v tvec[v] T_v inside a parabolic subgroup.
-
-    Back-substitution in decreasing canonical order against the
-    unitriangular KL columns; exact, no division.
-    """
-    index = cache.system.index
-    out: dict[Element, LaurentPoly] = {}
-    work = {v: c for v, c in tvec.items() if not c.is_zero()}
-    heap = [(-index(v), v) for v in work]  # a column of v only reaches lower indices
-    heapify(heap)
-    while heap:
-        v = heappop(heap)[1]
-        c = work.pop(v, None)
-        if c is None:  # cancelled to zero, or a second heap entry
-            continue
-        out[v] = c
-        for x, hpoly in cache.kl_column(v).items():
-            if x == v:
-                continue
-            r = work.get(x)
-            if r is None:
-                work[x] = -(c * hpoly)
-                heappush(heap, (-index(x), x))
-                continue
-            r = r - c * hpoly
-            if r.is_zero():
-                del work[x]
-            else:
-                work[x] = r
-    return out
+    return _at_safe_width(cache, bound, run)
 
 
 def restriction_coeffs(
@@ -149,8 +130,124 @@ def restriction_coeffs(
         raise ValueError(
             f"u is not a minimal coset representative: generator {min(bad)} is a right descent in J"
         )
-    tvec = _split_by_coset(sys.coset_table(J), cache.kl_column(w)).get(u, {})
-    return _expand_in_kl_basis(cache, tvec)
+    split = sys.coset_index(J)[0]
+    ui, wi, els = sys.index(u), sys.index(w), sys.elements()
+
+    def run(solver: _Solver) -> dict[Element, LaurentPoly]:
+        tvec = {split[x][1]: h for x, h in solver.column(wi).items() if split[x][0] == ui}
+        decode = solver.decoder(0)
+        return {els[v]: decode(d) for v, d in solver.solve(tvec, cache._column_l1(wi)).items()}
+
+    return _at_safe_width(cache, 1, run)
+
+
+# ---------------------------------------------------------------------------
+# packed back-substitution
+# ---------------------------------------------------------------------------
+
+
+class _Solver:
+    """Back-substitution against the KL columns packed at digit width K.
+
+    At the KL kernel's own width the columns are KLCache._packed_column
+    (which reads a column through kl_column the first time); at a wider K
+    they are repacked for this call only.  worst is the largest L1 bound of
+    any value popped so far.
+    """
+
+    def __init__(self, cache: KLCache, K: int):
+        self.K = K
+        self.worst = 0
+        self._cache = cache
+        if K == _KL_WIDTH:
+            self.column = cache._packed_column
+        else:
+            self.column = functools.cache(self._repacked)
+
+    def _repacked(self, i: int) -> dict[int, int]:
+        polys, K = self._cache._polys, self.K
+        return {x: pack(polys(h), K, 0) for x, h in self._cache._packed_column(i).items()}
+
+    def decoder(self, off: int):
+        """Packed value -> LaurentPoly at offset off, each distinct value decoded once."""
+        K = self.K
+        return functools.cache(lambda P: unpack(P, K, off))
+
+    def solve(self, tvec: dict[int, int], bound: int) -> dict[int, int]:
+        """Solve sum_v d_v C_v = sum_v tvec[v] T_v inside a parabolic subgroup,
+        each |tvec[v]|_1 <= bound: {v: d_v}, zeros omitted.
+
+        Decreasing index order, since a column of v only reaches lower
+        indices; exact, no division.  Next to each work value runs a bound on
+        its L1 norm: popping d_v adds |d_v|_1 * (largest |h_{x,v}|_1) to the
+        bound at every x of column v.
+        """
+        column, l1 = self.column, self._cache._column_l1
+        work = dict(tvec)
+        bounds = dict.fromkeys(tvec, bound)
+        heap = [-v for v in work]
+        heapify(heap)
+        out: dict[int, int] = {}
+        worst = self.worst
+        while heap:
+            v = -heappop(heap)
+            c = work.pop(v)
+            b = bounds.pop(v)
+            if b > worst:
+                worst = b
+            if not c:
+                continue
+            out[v] = c
+            bl = b * l1(v)
+            for x, h in column(v).items():
+                if x == v:
+                    continue
+                r = work.get(x)
+                if r is None:
+                    work[x] = -c * h
+                    bounds[x] = bl
+                    heappush(heap, -x)
+                else:
+                    work[x] = r - c * h
+                    bounds[x] += bl
+        self.worst = worst
+        return out
+
+
+def _at_safe_width(cache: KLCache, bound: int, run):
+    """run(solver) at the width for bound; if a value's L1 bound reached
+    2^(K-2), run it again at the width the bounds give."""
+    K = width(bound)
+    while True:
+        solver = _Solver(cache, K)
+        out = run(solver)
+        if solver.worst < 1 << K - 2:
+            return out
+        wider = width(solver.worst)
+        if wider <= K:
+            raise ExactnessError(
+                f"packed back-substitution: no digit width wider than {K} for bound {solver.worst}"
+            )
+        K = wider
+
+
+def _pieces(split: list[tuple[int, int]], col: dict[int, int]) -> dict[int, dict[int, int]]:
+    """u -> {v: col[uv]}, the part of a packed column on each coset uW_J (split: coset_index(J)[0])."""
+    pieces: dict[int, dict[int, int]] = {}
+    for x, h in col.items():
+        u, v = split[x]
+        pieces.setdefault(u, {})[v] = h
+    return pieces
+
+
+def _solve_pieces(solver: _Solver, pieces, join, bound: int) -> dict[int, int]:
+    """Back-substitute each coset's piece; {index of uv: d_v} over all cosets uW_J."""
+    out: dict[int, int] = {}
+    for u, tvec in pieces.items():
+        row = join[u]
+        for v, d in solver.solve(tvec, bound).items():
+            out[row[v]] = d
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -240,12 +337,25 @@ def transition_matrix(
     spec_i = HybridBasisSpec(I, "TC")
     cols: dict[Element, dict[Element, LaurentPoly]] = {}
     if replicate:
-        wj = sys.subgroup_elements(J)
-        block = {vp: expand_in_hybrid(cache, cache.kl_element(vp), spec_i) for vp in wj}
-        split = sys.coset_table(J)
-        for w in order:
-            u, vp = split[w]
-            cols[w] = {sys.multiply(u, x): c for x, c in block[vp].items()}
+        # column vp of the block: C_vp (vp in W_J) expanded in TC^I
+        split_i, join_i = sys.coset_index(I)
+        wj = [sys.index(vp) for vp in sys.subgroup_elements(J)]
+
+        def run(solver: _Solver) -> dict[int, list[tuple[int, LaurentPoly]]]:
+            decode = solver.decoder(0)
+            block = {}
+            for vp in wj:
+                pieces = _pieces(split_i, solver.column(vp))
+                col = _solve_pieces(solver, pieces, join_i, cache._column_l1(vp))
+                block[vp] = [(x, decode(d)) for x, d in col.items()]
+            return block
+
+        block = _at_safe_width(cache, 1, run)
+        split_j, join_j = sys.coset_index(J)
+        for k, w in enumerate(order):
+            u, vp = split_j[k]
+            row = join_j[u]
+            cols[w] = {order[row[x]]: c for x, c in block[vp]}
     else:
         spec_j = HybridBasisSpec(J, "TC")
         cols = {w: expand_in_hybrid(cache, hybrid_element(cache, spec_j, w), spec_i) for w in order}
@@ -260,18 +370,34 @@ def matmul(a: TransitionMatrix, b: TransitionMatrix) -> TransitionMatrix:
         raise ValueError(
             f"inner subsets do not match: left J={sorted(a.J)}, right I={sorted(b.I)}"
         )
+    sys = a.system
+    index, els = sys.index, sys.elements()
+    # each distinct entry object is measured and packed once
+    da = {id(p): p for col in a.columns.values() for p in col.values()}
+    db = {id(p): p for col in b.columns.values() for p in col.values()}
+    l1b = {k: p.l1() for k, p in db.items()}
+    # |(ab)_xw|_1 <= (largest |a_xy|_1) * (largest column sum of |b_yw|_1)
+    bound = max((p.l1() for p in da.values()), default=0) * max(
+        (sum(l1b[id(p)] for p in col.values()) for col in b.columns.values()), default=0
+    )
+    K = width(bound)
+    if bound >= 1 << K - 2:
+        raise ExactnessError(f"matmul: digit width {K} is too narrow for bound {bound}")
+    off_a = -min((p.min_exp() for p in da.values() if p), default=0)
+    off_b = -min((p.min_exp() for p in db.values() if p), default=0)
+    pa = {k: pack(p, K, off_a) for k, p in da.items()}
+    pb = {k: pack(p, K, off_b) for k, p in db.items()}
+    rows = {y: [(index(x), pa[id(p)]) for x, p in col.items()] for y, col in a.columns.items()}
+    decode = functools.cache(lambda P: unpack(P, K, off_a + off_b))
     cols: dict[Element, dict[Element, LaurentPoly]] = {}
     for w, colb in b.columns.items():
-        acc: dict[Element, LaurentPoly] = {}
+        acc: dict[int, int] = {}
         for y, c in colb.items():
-            for x, cx in a.columns[y].items():
-                s = acc.get(x, ZERO) + cx * c
-                if s.is_zero():
-                    acc.pop(x, None)
-                else:
-                    acc[x] = s
-        cols[w] = acc
-    return TransitionMatrix(a.system, a.I, b.J, a.order, cols)
+            c = pb[id(c)]
+            for x, ax in rows[y]:
+                acc[x] = acc.get(x, 0) + ax * c
+        cols[w] = {els[x]: decode(P) for x, P in acc.items() if P}
+    return TransitionMatrix(sys, a.I, b.J, a.order, cols)
 
 
 def default_chain(system: CoxeterSystem) -> list[frozenset[int]]:
@@ -308,12 +434,19 @@ def parabolic_kl(cache: KLCache, J: Iterable[int]) -> dict[tuple[Element, Elemen
     restriction coefficient of C_{u'} at u.  Zeros omitted."""
     sys = cache.system
     J = sys.subset(J)
-    split = sys.coset_table(J)
-    ident = sys.identity
-    out: dict[tuple[Element, Element], LaurentPoly] = {}
-    for up in sys.min_coset_reps(J, "left"):
-        for u, tvec in _split_by_coset(split, cache.kl_column(up)).items():
-            c = _expand_in_kl_basis(cache, tvec).get(ident)
-            if c is not None:
-                out[(u, up)] = c
-    return out
+    split = sys.coset_index(J)[0]
+    els = sys.elements()
+    reps = [sys.index(u) for u in sys.min_coset_reps(J, "left")]
+
+    def run(solver: _Solver) -> dict[tuple[Element, Element], LaurentPoly]:
+        decode = solver.decoder(0)
+        out = {}
+        for up in reps:
+            bound = cache._column_l1(up)
+            for u, tvec in _pieces(split, solver.column(up)).items():
+                c = solver.solve(tvec, bound).get(0)  # index 0: the identity
+                if c:
+                    out[(els[u], els[up])] = decode(c)
+        return out
+
+    return _at_safe_width(cache, 1, run)

@@ -60,6 +60,11 @@ def _decode(h: int) -> LaurentPoly:
     return unpack(h, _DIGIT, 0)
 
 
+def _packable(p: LaurentPoly) -> bool:
+    """True when p is in Z[q] with every coefficient in [0, 2^62)."""
+    return all(e >= 0 and 0 <= c < _LIMIT for e, c in p.items())
+
+
 class KLCache:
     """Per-system store of KL columns h_{.,w}, filled on demand.  ``_columns``
     maps elements to public columns; the recursion reads their packed twins."""
@@ -71,6 +76,8 @@ class KLCache:
         self._packed: list[dict[int, int] | None] = [None] * system.order
         self._top = 1  # largest coefficient in any packed column so far
         self._polys = cache(_decode)  # intern table: equal entries share one LaurentPoly
+        self._packs: dict[int, int] = {}  # id of an interned loaded entry -> its packed int
+        self._l1: dict[int, int] = {}  # see _column_l1
 
     # -- core recursion ----------------------------------------------------
 
@@ -91,12 +98,22 @@ class KLCache:
         if self._packed[i] is None:
             loaded = self.kl_column(self.system.elements()[i])
             if self._packed[i] is None:  # loaded: pack it, behind the guard
-                if any(e < 0 or not 0 <= c < _LIMIT for p in loaded.values() for e, c in p.items()):
+                index, packs = self.system._index, self._packs
+                try:  # load packed every entry that is _packable
+                    col = {index[x]: packs[id(p)] for x, p in loaded.items()}
+                except KeyError:
                     self._fail(i, "a loaded entry is not in Z[q] with coefficients in [0, 2^62)")
-                col = {self.system.index(x): pack(p, _DIGIT, 0) for x, p in loaded.items()}
                 self._guard(i, col)
                 self._packed[i] = col
         return self._packed[i]
+
+    def _column_l1(self, i: int) -> int:
+        """The largest L1 norm of an entry of column i (the hybrid layer's width bound)."""
+        l1 = self._l1.get(i)
+        if l1 is None:
+            polys = self._polys
+            l1 = self._l1[i] = max(polys(h).l1() for h in set(self._packed_column(i).values()))
+        return l1
 
     def _compute(self, i: int) -> dict[int, int]:
         if i == 0:
@@ -212,10 +229,22 @@ class KLCache:
             raise ValueError(f"cache is for group {obj.get('group')!r}, not {system.type_string}")
         out = cls(system)
         element = cache(lambda text: system.element_from_word(parse_word(text)))  # each word parsed once
+        polys: dict[tuple, LaurentPoly] = {}  # one LaurentPoly per distinct JSON polynomial
+
+        def poly(obj) -> LaurentPoly:
+            key = tuple(obj.items())
+            p = polys.get(key)
+            if p is None:
+                p = LaurentPoly.from_json_obj(obj)
+                if _packable(p):  # share the decoded entries' object; packing it is one lookup
+                    h = pack(p, _DIGIT, 0)
+                    p = out._polys(h)
+                    out._packs[id(p)] = h
+                polys[key] = p
+            return p
+
         for wtext, col in obj["columns"].items():
-            out._columns[element(wtext)] = {
-                element(xtext): LaurentPoly.from_json_obj(p) for xtext, p in col.items()
-            }
+            out._columns[element(wtext)] = {element(xtext): poly(p) for xtext, p in col.items()}
         return out
 
 

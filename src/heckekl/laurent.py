@@ -10,7 +10,8 @@ width K and an offset off, p becomes the integer (q^off * p)(2^K), one
 balanced signed digit in [-2^(K-1), 2^(K-1)) per exponent (Kronecker
 substitution).  Sums and products of packed ints are the packed sums and
 products while every coefficient stays inside a digit, and multiplying by
-q^-1 is an exact ``>> K`` while the lowest digit is 0.
+q^-1 is an exact ``>> K`` while the lowest digit is 0.  ``width`` is the one
+rule that turns a bound on the coefficients' absolute values into K.
 
 >>> p = Q + 1
 >>> p * p
@@ -150,9 +151,10 @@ class LaurentPoly:
     # -- comparison / serialization ----------------------------------------
 
     def __eq__(self, other) -> bool:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if not isinstance(other, LaurentPoly):
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self._c == other._c
 
     def __bool__(self) -> bool:
@@ -180,6 +182,12 @@ _JSON_EXACT = 1 << 53
 class ExactnessError(RuntimeError):
     """A packed computation could not be decoded exactly (a division by q
     left a remainder, or a coefficient could outgrow its digit)."""
+
+
+def width(bound: int) -> int:
+    """Digit width K for packed coefficients of absolute value at most bound:
+    at least 64, and bound < 2^(K-2), so balanced digits decode uniquely."""
+    return max(64, bound.bit_length() + 2)
 
 
 def pack(p: LaurentPoly, K: int, off: int) -> int:
