@@ -5,6 +5,15 @@ Words are comma-separated generator indices ("1,2,1"); "e" is the identity.
 Chains are "<"-separated subsets ("@<1<1,2"), where "@", "e", or an empty
 field denote the empty set (the symbol U+2205 is also accepted).
 
+main is the one run loop, in this order: parse the arguments; build the
+group and its KLCache, loaded from --cache-dir when that holds a file for
+the group; call the subcommand; write the cache back (only when the run
+computed a column or the file is missing); emit the text to stdout or
+--output.  A subcommand cmd_*(args) takes the one argparse namespace, with
+the cache as args.cache, only computes, and returns (exit code, text); it
+never touches the cache file or stdout.  An error in any step skips the
+steps after it.
+
 Exit codes: 0 success, 1 a checked property failed, 2 usage/parse/domain
 error, an I/O error, or an unreadable or damaged cache file (one line on
 stderr, no traceback).  Output is byte-deterministic for a fixed
@@ -25,6 +34,8 @@ from .coxeter import coxeter_system, format_word, parse_word
 from .klbasis import KLCache
 from .hybrid import (
     HybridBasisSpec,
+    csv_grid,
+    csv_rows,
     factorize_chain,
     hybrid_element,
     kl_matrix,
@@ -32,7 +43,7 @@ from .hybrid import (
     parabolic_kl,
     restriction_coeffs,
 )
-from .laurent import ExactnessError, ZERO
+from .laurent import ExactnessError, ZERO, json_encoder
 from .verification import crystallographic_note, run_suite
 
 _EMPTY_TOKENS = {"", "e", "@", "∅"}
@@ -53,17 +64,6 @@ def _parse_subset(text: str) -> frozenset[int]:
 
 def _parse_chain(text: str) -> list[frozenset[int]]:
     return [_parse_subset(part) for part in text.split("<")]
-
-
-def _csv_quote(s: str) -> str:
-    return '"' + s.replace('"', '""') + '"'
-
-
-def _csv_lines(header: str, rows) -> str:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(_csv_quote(str(c)) for c in row))
-    return "\n".join(lines) + "\n"
 
 
 def _emit(args, text: str) -> None:
@@ -87,184 +87,138 @@ def _make_cache(args) -> KLCache:
     return KLCache.load(path, system) if path and path.exists() else KLCache(system)
 
 
-def _save_cache(args, cache: KLCache) -> None:
+def _save_cache(args) -> None:
     """Write the cache back, unless it was loaded from that file and gained no column."""
+    cache = args.cache
     path = _cache_path(args, cache.system)
     if path and (cache.computed or not path.exists()):
         path.parent.mkdir(parents=True, exist_ok=True)
         cache.save(path)
 
 
+def _word(sys_, w) -> str:
+    return format_word(sys_.word(w))
+
+
+def _pairs(sys_, terms) -> list[tuple[str, str]]:
+    """(word, poly) text pairs of a sparse {element: poly} map, in canonical order."""
+    return [(_word(sys_, x), str(terms[x])) for x in sorted(terms, key=sys_.sort_key)]
+
+
+def _table(args, obj: dict, header: str, rows) -> str:
+    """obj as JSON, or rows as CSV under the header line."""
+    return _json_text(obj) if args.format == "json" else csv_rows(header, rows)
+
+
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: compute from args (args.cache included), return (exit code, text)
 # ---------------------------------------------------------------------------
 
 
-def cmd_kl(args) -> int:
-    cache = _make_cache(args)
-    sys_ = cache.system
-    if args.w is not None:
-        w = sys_.element_from_word(parse_word(args.w))
-        col = cache.kl_column(w)
-        order = sys_.elements()
-        if args.format == "json":
-            obj = {
-                "group": sys_.type_string,
-                "w": format_word(sys_.word(w)),
-                "order": [format_word(sys_.word(x)) for x in order],
-                "column": [str(col.get(x, ZERO)) for x in order],
-            }
-            text = _json_text(obj)
-        else:
-            rows = [(format_word(sys_.word(x)), str(col.get(x, ZERO))) for x in order]
-            text = _csv_lines("x,coeff", rows)
-    else:
-        m = kl_matrix(cache)
-        text = _json_text(m.to_json_obj()) if args.format == "json" else m.to_csv()
-    _save_cache(args, cache)
-    _emit(args, text)
-    return 0
+def cmd_kl(args) -> tuple[int, str]:
+    sys_ = args.cache.system
+    if args.w is None:
+        m = kl_matrix(args.cache)
+        return 0, _json_text(m.to_json_obj()) if args.format == "json" else m.to_csv()
+    w = sys_.element_from_word(parse_word(args.w))
+    col = args.cache.kl_column(w)
+    rows = [(_word(sys_, x), str(col.get(x, ZERO))) for x in sys_.elements()]
+    obj = {
+        "group": sys_.type_string,
+        "w": _word(sys_, w),
+        "order": [x for x, _ in rows],
+        "column": [c for _, c in rows],
+    }
+    return 0, _table(args, obj, "x,coeff", rows)
 
 
-def cmd_restrict(args) -> int:
-    cache = _make_cache(args)
-    sys_ = cache.system
+def cmd_restrict(args) -> tuple[int, str]:
+    sys_ = args.cache.system
     J = _parse_subset(args.J)
     u = sys_.element_from_word(parse_word(args.u))
     w = sys_.element_from_word(parse_word(args.w))
-    coeffs = restriction_coeffs(cache, u, w, J)
-    pairs = [
-        (format_word(sys_.word(v)), str(p))
-        for v, p in sorted(coeffs.items(), key=lambda kv: sys_.sort_key(kv[0]))
-    ]
-    if args.format == "json":
-        obj = {
-            "group": sys_.type_string,
-            "J": sorted(J),
-            "u": format_word(sys_.word(u)),
-            "w": format_word(sys_.word(w)),
-            "coeffs": [list(p) for p in pairs],
-        }
-        text = _json_text(obj)
-    else:
-        text = _csv_lines("v,coeff", pairs)
-    _save_cache(args, cache)
-    _emit(args, text)
-    return 0
+    rows = _pairs(sys_, restriction_coeffs(args.cache, u, w, J))
+    obj = {
+        "group": sys_.type_string,
+        "J": sorted(J),
+        "u": _word(sys_, u),
+        "w": _word(sys_, w),
+        "coeffs": rows,
+    }
+    return 0, _table(args, obj, "v,coeff", rows)
 
 
-def cmd_hybrid(args) -> int:
-    cache = _make_cache(args)
-    sys_ = cache.system
+def cmd_hybrid(args) -> tuple[int, str]:
+    sys_ = args.cache.system
     spec = HybridBasisSpec(_parse_subset(args.J), args.orientation)
     w = sys_.element_from_word(parse_word(args.w))
-    el = hybrid_element(cache, spec, w)
-    pairs = [
-        (format_word(sys_.word(x)), str(p))
-        for x, p in sorted(el.terms.items(), key=lambda kv: sys_.sort_key(kv[0]))
-    ]
-    if args.format == "json":
-        obj = {
-            "group": sys_.type_string,
-            "J": sorted(spec.J),
-            "orientation": spec.orientation,
-            "w": format_word(sys_.word(w)),
-            "terms": [list(p) for p in pairs],
-        }
-        text = _json_text(obj)
-    else:
-        text = _csv_lines("x,coeff", pairs)
-    _save_cache(args, cache)
-    _emit(args, text)
-    return 0
+    rows = _pairs(sys_, hybrid_element(args.cache, spec, w).terms)
+    obj = {
+        "group": sys_.type_string,
+        "J": sorted(spec.J),
+        "orientation": spec.orientation,
+        "w": _word(sys_, w),
+        "terms": rows,
+    }
+    return 0, _table(args, obj, "x,coeff", rows)
 
 
-def cmd_factorize(args) -> int:
-    cache = _make_cache(args)
-    chain = _parse_chain(args.chain) if args.chain else None
-    factors = factorize_chain(cache, chain)
+def cmd_factorize(args) -> tuple[int, str]:
+    factors = factorize_chain(args.cache, _parse_chain(args.chain) if args.chain else None)
     # the product is dropped once compared, so it is not held through serialization
-    equal = reduce(matmul, factors).same_entries(kl_matrix(cache))
+    equal = reduce(matmul, factors).same_entries(kl_matrix(args.cache))
     nonneg = all(m.is_nonneg_poly_matrix() for m in factors)
+    code = 0 if (equal and nonneg) else 1
     if args.format == "json":
         obj = {
-            "group": cache.system.type_string,
+            "group": args.cache.system.type_string,
             "chain": [sorted(m.I) for m in factors] + [sorted(factors[-1].J)],
             "factors": [m.to_json_obj() for m in factors],
             "product_equals_kl": equal,
             "nonnegative": nonneg,
         }
-        text = _json_text(obj)
-    else:
-        parts = []
-        for k, m in enumerate(factors, 1):
-            parts.append(f"# factor {k}: I={sorted(m.I)} J={sorted(m.J)}")
-            parts.append(m.to_csv().rstrip("\n"))
-        parts.append(f"product_equals_kl,{str(equal).lower()}")
-        parts.append(f"nonnegative,{str(nonneg).lower()}")
-        text = "\n".join(parts) + "\n"
-    _save_cache(args, cache)
-    _emit(args, text)
-    return 0 if (equal and nonneg) else 1
-
-
-def cmd_parabolic(args) -> int:
-    cache = _make_cache(args)
-    sys_ = cache.system
-    J = _parse_subset(args.J)
-    P = parabolic_kl(cache, J)
-    reps = sys_.min_coset_reps(J, "left")
-    idx = {u: k for k, u in enumerate(reps)}
-    triplets = sorted(
-        ([idx[u], idx[u2], p.to_json_obj()] for (u, u2), p in P.items()),
-        key=lambda t: (t[1], t[0]),
+        return code, _json_text(obj)
+    text = "".join(
+        f"# factor {k}: I={sorted(m.I)} J={sorted(m.J)}\n" + m.to_csv()
+        for k, m in enumerate(factors, 1)
     )
-    if args.format == "json":
-        obj = {
-            "group": sys_.type_string,
-            "J": sorted(J),
-            "order": [format_word(sys_.word(u)) for u in reps],
-            "entries": triplets,
-        }
-        text = _json_text(obj)
-    else:
-        header = "u\\u'," + ",".join(_csv_quote(format_word(sys_.word(u))) for u in reps)
-        lines = [header]
-        for u in reps:
-            cells = [str(P.get((u, u2), ZERO)) for u2 in reps]
-            lines.append(
-                _csv_quote(format_word(sys_.word(u))) + "," + ",".join(_csv_quote(c) for c in cells)
-            )
-        text = "\n".join(lines) + "\n"
-    _save_cache(args, cache)
-    _emit(args, text)
-    return 0
+    return code, text + f"product_equals_kl,{equal}\nnonnegative,{nonneg}\n".lower()
 
 
-def cmd_verify(args) -> int:
-    cache = _make_cache(args)
-    results = run_suite(cache, args.suite)
-    note = crystallographic_note(cache.system)
+def cmd_parabolic(args) -> tuple[int, str]:
+    sys_ = args.cache.system
+    J = _parse_subset(args.J)
+    P = parabolic_kl(args.cache, J)
+    reps = sys_.min_coset_reps(J, "left")
+    order = [_word(sys_, u) for u in reps]
+    if args.format == "csv":
+        cells = ([str(P.get((u, u2), ZERO)) for u2 in reps] for u in reps)
+        return 0, csv_grid("u\\u'", order, cells)
+    idx = {u: k for k, u in enumerate(reps)}
+    encode = json_encoder()
+    entries = sorted(
+        ([idx[u], idx[u2], encode(p)] for (u, u2), p in P.items()), key=lambda t: (t[1], t[0])
+    )
+    obj = {"group": sys_.type_string, "J": sorted(J), "order": order, "entries": entries}
+    return 0, _json_text(obj)
+
+
+def cmd_verify(args) -> tuple[int, str]:
+    sys_ = args.cache.system
+    results = run_suite(args.cache, args.suite)
+    note = crystallographic_note(sys_)
     all_passed = all(r.passed for r in results)
-    if args.format == "json":
-        obj = {
-            "group": cache.system.type_string,
-            "suite": args.suite,
-            "results": [
-                {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
-            ],
-            "all_passed": all_passed,
-        }
-        if note:
-            obj["note"] = note
-        text = _json_text(obj)
-    else:
-        rows = [(r.name, str(r.passed).lower(), r.detail) for r in results]
-        rows.append(("all_passed", str(all_passed).lower(), note or ""))
-        text = _csv_lines("name,passed,detail", rows)
-    _save_cache(args, cache)
-    _emit(args, text)
-    return 0 if all_passed else 1
+    obj = {
+        "group": sys_.type_string,
+        "suite": args.suite,
+        "results": [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results],
+        "all_passed": all_passed,
+    }
+    if note:
+        obj["note"] = note
+    rows = [(r.name, str(r.passed).lower(), r.detail) for r in results]
+    rows.append(("all_passed", str(all_passed).lower(), note or ""))
+    return (0 if all_passed else 1), _table(args, obj, "name,passed,detail", rows)
 
 
 # ---------------------------------------------------------------------------
@@ -330,11 +284,15 @@ def main(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        return args.fn(args)
+        args.cache = _make_cache(args)
+        code, text = args.fn(args)
+        _save_cache(args)
+        _emit(args, text)
     # OSError covers gzip.BadGzipFile; ExactnessError is the KL guard on a damaged loaded column
     except (ValueError, OSError, EOFError, zlib.error, ExactnessError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

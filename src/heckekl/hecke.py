@@ -114,7 +114,7 @@ class HeckeElement:
         out = dict(self.terms)
         for w, c in other.terms.items():
             _add(out, w, c)
-        return _wrap(self.system, out)
+        return HeckeElement(self.system, out)
 
     def __sub__(self, other: "HeckeElement") -> "HeckeElement":
         if not isinstance(other, HeckeElement):
@@ -123,16 +123,16 @@ class HeckeElement:
         out = dict(self.terms)
         for w, c in other.terms.items():
             _add(out, w, -c)
-        return _wrap(self.system, out)
+        return HeckeElement(self.system, out)
 
     def __neg__(self) -> "HeckeElement":
-        return _wrap(self.system, {w: -c for w, c in self.terms.items()})
+        return HeckeElement(self.system, {w: -c for w, c in self.terms.items()})
 
     def scale(self, c: LaurentPoly | int) -> "HeckeElement":
         c = c if isinstance(c, LaurentPoly) else LaurentPoly(c)
         if c.is_zero():
-            return _wrap(self.system, {})
-        return _wrap(self.system, {w: c * cw for w, cw in self.terms.items()})
+            return HeckeElement(self.system, {})
+        return HeckeElement(self.system, {w: c * cw for w, cw in self.terms.items()})
 
     # -- multiplication -----------------------------------------------------
 
@@ -144,7 +144,7 @@ class HeckeElement:
         self._check(other)
         sys = self.system
         if not self.terms or not other.terms:
-            return _wrap(sys, {})
+            return HeckeElement(sys, {})
         index, length, els = sys.index, sys.length, sys.elements()
         K = width(
             sum(c.l1() for c in other.terms.values())
@@ -189,7 +189,7 @@ class HeckeElement:
         """Bar involution: semilinear over q -> q^-1, T_x -> (T_{x^-1})^-1."""
         sys = self.system
         if not self.terms:
-            return _wrap(sys, {})
+            return HeckeElement(sys, {})
         index, length = sys.index, sys.length
         K = width(sum(c.l1() * 3 ** length(x) for x, c in self.terms.items()))
         off = max(c.max_exp() for c in self.terms.values())  # bar(c) has exponents >= -off
@@ -204,7 +204,7 @@ class HeckeElement:
     def psi(self) -> "HeckeElement":
         """Linear anti-automorphism T_w -> T_{w^-1}, scalars fixed."""
         sys = self.system
-        return _wrap(sys, {sys.inverse(w): c for w, c in self.terms.items()})
+        return HeckeElement(sys, {sys.inverse(w): c for w, c in self.terms.items()})
 
     def omega(self) -> "HeckeElement":
         """Semilinear anti-automorphism: bar followed by psi (they commute)."""
@@ -216,7 +216,7 @@ class HeckeElement:
         """Projection to the parabolic subalgebra H_J: keep terms with w in W_J."""
         sys = self.system
         J = sys.subset(J)
-        return _wrap(sys, {w: c for w, c in self.terms.items() if sys.in_parabolic(w, J)})
+        return HeckeElement(sys, {w: c for w, c in self.terms.items() if sys.in_parabolic(w, J)})
 
 
 # ---------------------------------------------------------------------------
@@ -225,11 +225,11 @@ class HeckeElement:
 
 
 def unit(system: CoxeterSystem) -> HeckeElement:
-    return _wrap(system, {system.identity: ONE})
+    return HeckeElement(system, {system.identity: ONE})
 
 
 def t_basis(system: CoxeterSystem, w: Element) -> HeckeElement:
-    return _wrap(system, {w: ONE})
+    return HeckeElement(system, {w: ONE})
 
 
 def form(a: HeckeElement, b: HeckeElement) -> LaurentPoly:
@@ -268,11 +268,7 @@ def form(a: HeckeElement, b: HeckeElement) -> LaurentPoly:
     return unpack(total, K, off_a + off_b + length(sys.longest_element()))
 
 
-def _wrap(system: CoxeterSystem, terms: dict[Element, LaurentPoly]) -> HeckeElement:
-    h = HeckeElement.__new__(HeckeElement)
-    h.system = system
-    h.terms = {w: c for w, c in terms.items() if not c.is_zero()}
-    return h
+_wrap = HeckeElement  # the constructor's former private name, still imported by tests
 
 
 def _add(d: dict[Element, LaurentPoly], w: Element, c: LaurentPoly):
@@ -299,7 +295,7 @@ def _unpack_terms(system: CoxeterSystem, packed: dict[int, int], K: int, off: in
             if p is None:
                 p = polys[P] = unpack(P, K, off)
             terms[els[i]] = p
-    return _wrap(system, terms)
+    return HeckeElement(system, terms)
 
 
 _BAR_ROWS: "WeakKeyDictionary[CoxeterSystem, tuple[int, list]]" = WeakKeyDictionary()

@@ -56,7 +56,7 @@ from typing import Iterable
 from .coxeter import CoxeterSystem, Element, format_word
 from .hecke import HeckeElement, t_basis
 from .klbasis import _DIGIT as _KL_WIDTH, KLCache
-from .laurent import ExactnessError, LaurentPoly, ZERO, pack, unpack, width
+from .laurent import ExactnessError, LaurentPoly, ZERO, json_encoder, pack, unpack, width
 
 
 @dataclass(frozen=True)
@@ -285,30 +285,50 @@ class TransitionMatrix:
         )
 
     def to_json_obj(self) -> dict:
+        """Sparse [row, column, poly] entries by column.  Entries holding one
+        polynomial object share one JSON dict, so treat the result as read-only."""
         sys = self.system
         idx = {w: k for k, w in enumerate(self.order)}
-        triplets = []
+        encode = json_encoder()
+        entries = []
         for w, col in self.columns.items():
             ci = idx[w]
             for x, p in col.items():
-                triplets.append((idx[x], ci, p.to_json_obj()))
-        triplets.sort(key=lambda t: (t[1], t[0]))
+                entries.append([idx[x], ci, encode(p)])
+        entries.sort(key=lambda t: (t[1], t[0]))
         return {
             "type": sys.type_string,
             "I": sorted(self.I),
             "J": sorted(self.J),
             "order": [list(sys.word(w)) for w in self.order],
-            "entries": [list(t) for t in triplets],
+            "entries": entries,
         }
 
     def to_csv(self) -> str:
         """Dense grid, header row/column of canonical words, textual cells."""
         sys = self.system
-        lines = ["x\\w," + ",".join(f'"{format_word(sys.word(w))}"' for w in self.order)]
-        for x in self.order:
-            cells = [str(self.columns[w].get(x, ZERO)) for w in self.order]
-            lines.append(f'"{format_word(sys.word(x))}",' + ",".join(f'"{c}"' for c in cells))
-        return "\n".join(lines) + "\n"
+        cols = [self.columns[w] for w in self.order]
+        return csv_grid(
+            "x\\w",
+            [format_word(sys.word(x)) for x in self.order],
+            ([str(col.get(x, ZERO)) for col in cols] for x in self.order),
+        )
+
+
+def _csv_quote(cell: str) -> str:
+    return '"' + cell.replace('"', '""') + '"'
+
+
+def csv_rows(header: str, rows: Iterable[Iterable[str]]) -> str:
+    """CSV text: the header line as given, then one line per row, every cell quoted."""
+    return "".join([header, "\n", *(",".join(map(_csv_quote, row)) + "\n" for row in rows)])
+
+
+def csv_grid(corner: str, labels: list[str], rows: Iterable[Iterable[str]]) -> str:
+    """A square grid: labels across after the corner and down the first column,
+    rows giving each row's cells in label order."""
+    header = corner + "," + ",".join(map(_csv_quote, labels))
+    return csv_rows(header, ([label, *row] for label, row in zip(labels, rows)))
 
 
 def kl_matrix(cache: KLCache) -> TransitionMatrix:

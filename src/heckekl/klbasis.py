@@ -45,8 +45,8 @@ from operator import or_
 from typing import Iterable, Mapping
 
 from .coxeter import CoxeterSystem, Element, UnsupportedGroupError, format_word, parse_word
-from .hecke import HeckeElement, _wrap
-from .laurent import ExactnessError, LaurentPoly, ONE, Q, QINV, ZERO, pack, unpack
+from .hecke import HeckeElement
+from .laurent import ExactnessError, LaurentPoly, ONE, Q, QINV, ZERO, json_encoder, pack, unpack
 
 _CACHE_FORMAT = 1
 
@@ -171,7 +171,7 @@ class KLCache:
 
     def kl_element(self, w: Element) -> HeckeElement:
         """C_w as a Hecke element."""
-        return _wrap(self.system, dict(self.kl_column(w)))
+        return HeckeElement(self.system, self.kl_column(w))
 
     def kl_poly(self, x: Element, w: Element) -> LaurentPoly:
         """h_{x,w}; the zero polynomial iff x is not <= w."""
@@ -192,12 +192,13 @@ class KLCache:
         """Dump all cached columns as gzipped JSON keyed by canonical words,
         atomically (os.replace of a file written in the same directory)."""
         sys = self.system
+        encode = json_encoder()
         obj = {
             "format": _CACHE_FORMAT,
             "group": sys.type_string,
             "columns": {
                 format_word(sys.word(w)): {
-                    format_word(sys.word(x)): p.to_json_obj() for x, p in sorted(
+                    format_word(sys.word(x)): encode(p) for x, p in sorted(
                         col.items(), key=lambda xc: sys.sort_key(xc[0])
                     )
                 }
@@ -299,7 +300,7 @@ def bruhat_interval_element(system: CoxeterSystem, w: Element) -> HeckeElement:
     """
     lw = system.length(w)
     terms = {y: LaurentPoly.q_power(lw - system.length(y)) for y in system.bruhat_interval(w)}
-    return _wrap(system, terms)
+    return HeckeElement(system, terms)
 
 
 def _contains_pattern(line: Iterable[int], pattern: tuple[int, ...]) -> bool:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .coxeter import CoxeterSystem, Element
-from .hecke import HeckeElement, _add, _wrap
+from .hecke import HeckeElement, _add
 from .klbasis import KLCache, bruhat_interval_element
 from .laurent import LaurentPoly, ONE, Q, ZERO
 
@@ -262,4 +262,4 @@ def interval_restriction_formula(
         for y, c in bruhat_interval_element(system, g).terms.items():
             if system.in_parabolic(y, J):
                 _add(out, y, scale * c)
-    return _wrap(system, out)
+    return HeckeElement(system, out)

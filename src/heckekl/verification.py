@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from .coxeter import CoxeterSystem
-from .hecke import HeckeElement, form, t_basis, unit, _wrap
+from .hecke import HeckeElement, form, t_basis, unit
 from .klbasis import KLCache, KLOracle, bruhat_interval_element, is_rationally_smooth
 from .hybrid import (
     HybridBasisSpec,
@@ -68,7 +68,7 @@ def _random_element(system, rng) -> HeckeElement:
     terms = {}
     for w in rng.sample(system.elements(), min(3, system.order)):
         terms[w] = _random_poly(rng)
-    return _wrap(system, terms)
+    return HeckeElement(system, terms)
 
 
 def _subsets(system):
@@ -359,7 +359,7 @@ def check_coset_orthogonality(cache, rng) -> CheckResult:
         for u in reps:
             for u2 in reps:
                 got = (t_basis(sys, sys.inverse(u)) * t_basis(sys, u2)).restrict(J)
-                want = one if u == u2 else _wrap(sys, {})
+                want = one if u == u2 else HeckeElement(sys, {})
                 if got != want:
                     bad.append(f"J={sorted(J)}")
     return CheckResult("coset_orthogonality", not bad, "(T_u^-1 T_u')|_J = delta" if not bad else _fail_detail(bad[:3]))
