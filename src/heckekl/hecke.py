@@ -29,9 +29,9 @@ on the L1 norm of every coefficient the call can form, K = laurent.width(B)
 digits:
 
 * product a*b: B = |b|_1 * sum_x |a_x|_1 3^l(x), since each T_s step at
-  most triples the L1 norm.  Horner over right descents: with A_x = a_x b,
-  walk the indices downward and add T_t A_y into A_{yt} (t a right descent
-  of y, T_y = T_{yt} T_t); the result is A_e.
+  most triples the L1 norm.  Horner over right descents: walk the indices
+  downward and add T_t A_y into A_{yt} (t a right descent of y, T_y = T_{yt}
+  T_t), where A_y starts as a_y b only once y is reached; the result is A_e.
 * bar: B = sum_x |a_x|_1 |bar T_x|_1 <= sum_x |a_x|_1 3^l(x), against one
   packed table of bar(T_x) per system (started afresh when K changes),
   filled lazily from bar(T_x) = bar(T_s) bar(T_{sx}), s the first letter
@@ -153,30 +153,37 @@ class HeckeElement:
         off_a = -min(c.min_exp() for c in self.terms.values())
         off_b = max(map(length, self.terms)) - min(c.min_exp() for c in other.terms.values())
         b = [(index(w), pack(c, K, off_b)) for w, c in other.terms.items()]
+        seed = {index(a): pack(c, K, off_a) for a, c in self.terms.items()}
+
+        def start(y: int) -> dict[int, int]:  # A_y when y is first reached: a_y b, or 0
+            ca = seed.get(y)
+            return {} if ca is None else {w: ca * bw for w, bw in b}
+
         acc: dict[int, dict[int, int]] = {}
-        for a, c in self.terms.items():
-            ca = pack(c, K, off_a)
-            acc[index(a)] = {w: ca * bw for w, bw in b}
-        heap = [-y for y in acc]
+        heap = [-y for y in seed]
         heapify(heap)
         low = 0  # OR of the operands of >> K: its low digit must be 0
-        while heap[0]:
+        while True:
             y = -heappop(heap)
+            row = acc.pop(y, None) or start(y)  # a row in acc is never empty
+            if not y:
+                break
             t = sys.word(els[y])[-1]
             yt = sys.right_index[t - 1][y]
             dest = acc.get(yt)
             if dest is None:
-                dest = acc[yt] = {}
-                heappush(heap, -yt)
+                dest = acc[yt] = start(yt)
+                if yt not in seed:
+                    heappush(heap, -yt)
             lt = sys.left_index[t - 1]
-            for w, c in acc.pop(y).items():
+            for w, c in row.items():
                 tw = lt[w]
                 dest[tw] = dest.get(tw, 0) + c
                 if tw < w:  # T_t T_w = T_tw + (q^-1 - q) T_w
                     low |= c
                     dest[w] = dest.get(w, 0) + (c >> K) - (c << K)
         _check_exact(low, K)
-        return _unpack_terms(sys, acc[0], K, off_a + off_b)
+        return _unpack_terms(sys, row, K, off_a + off_b)
 
     def __rmul__(self, other) -> "HeckeElement":
         if isinstance(other, (LaurentPoly, int)):

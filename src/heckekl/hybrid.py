@@ -51,7 +51,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .coxeter import CoxeterSystem, Element, format_word
 from .hecke import HeckeElement, t_basis
@@ -259,16 +259,16 @@ def _solve_pieces(solver: _Solver, pieces, join, bound: int) -> dict[int, int]:
 class TransitionMatrix:
     """Square change-of-basis matrix, column w = coordinates of TC^J_w in TC^I.
 
-    columns maps w to a sparse {x: poly}; entries are unitriangular in
-    Bruhat order and vanish across distinct W^J-cosets.  Columns are
-    read-only: kl_matrix shares them with the KLCache.
+    columns maps w to a sparse read-only {x: poly} Mapping; entries are
+    unitriangular in Bruhat order and vanish across distinct W^J-cosets.
+    kl_matrix's columns are the KLCache's views, over one intern table.
     """
 
     system: CoxeterSystem
     I: frozenset[int]
     J: frozenset[int]
     order: tuple[Element, ...]
-    columns: dict[Element, dict[Element, LaurentPoly]] = field(repr=False)
+    columns: dict[Element, Mapping[Element, LaurentPoly]] = field(repr=False)
 
     def entry(self, x: Element, w: Element) -> LaurentPoly:
         return self.columns[w].get(x, ZERO)

@@ -25,8 +25,9 @@ coefficient of C_v C_s at y is h_{ys,v} + (h_{y,v} >> 64 if ys < y, else
 h_{y,v} << 64); mu is digit 1.  A guard raises ExactnessError naming the
 column unless its diagonal is 1, each >> 64 was exact, (2 + sum of mu) *
 (largest coefficient so far) < 2^62 (so decoding is unique) and all entries
-are >= 0 with digits < 2^62.  Loaded columns are packed when first read and
-pass the same guard.  Public columns decode through one intern table.
+are >= 0 with digits < 2^62; loaded columns pass it when first read.  Equal
+entries are one int (one setdefault table), and kl_column hands out read-only
+Mapping views of the packed columns that decode through one intern table.
 
 Also here: the Bruhat-interval element sum_{y <= w} q^{l(w)-l(y)} T_y, which
 coincides with C_w exactly for rationally smooth w (in type A: for the
@@ -39,10 +40,11 @@ import gzip
 import io
 import json
 import os
-from functools import cache, reduce
+from collections.abc import Mapping
+from functools import cache, partial, reduce
 from itertools import combinations
 from operator import or_
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .coxeter import CoxeterSystem, Element, UnsupportedGroupError, format_word, parse_word
 from .hecke import HeckeElement
@@ -55,56 +57,77 @@ _MASK = (1 << _DIGIT) - 1
 _LIMIT = 1 << 62  # every packed coefficient stays below this
 
 
-def _decode(h: int) -> LaurentPoly:
-    """The polynomial whose value at q = 2^64 is h (h >= 0, digits < 2^62)."""
-    return unpack(h, _DIGIT, 0)
+class _Column(Mapping):
+    """Read-only view x -> h_{x,w} of a packed column {index: int}; each read
+    decodes through the cache's intern table, so equal entries are one object."""
 
+    __slots__ = ("_packed", "_polys", "_els", "_index")
 
-def _packable(p: LaurentPoly) -> bool:
-    """True when p is in Z[q] with every coefficient in [0, 2^62)."""
-    return all(e >= 0 and 0 <= c < _LIMIT for e, c in p.items())
+    def __init__(self, cache: "KLCache", packed: dict[int, int]):
+        self._packed, self._polys = packed, cache._polys
+        self._els, self._index = cache.system.elements(), cache.system._index
+
+    def __getitem__(self, x: Element) -> LaurentPoly:
+        return self._polys(self._packed[self._index[x]])
+
+    def get(self, x, default=None):
+        h = self._packed.get(self._index.get(x))
+        return default if h is None else self._polys(h)
+
+    def __iter__(self):
+        return map(self._els.__getitem__, self._packed)
+
+    def __len__(self) -> int:
+        return len(self._packed)
+
+    def items(self):  # one C-level pass, not a __getitem__ per key
+        return dict(zip(self, map(self._polys, self._packed.values()))).items()
+
+    def __repr__(self) -> str:
+        return f"_Column({dict(self.items())!r})"
 
 
 class KLCache:
-    """Per-system store of KL columns h_{.,w}, filled on demand.  ``_columns``
-    maps elements to public columns; the recursion reads their packed twins."""
+    """Per-system store of KL columns h_{.,w}, filled on demand: one packed dict per
+    column, and read-only views of them in ``_columns`` (see load for the exception)."""
 
     def __init__(self, system: CoxeterSystem):
         self.system = system
-        self._columns: dict[Element, dict[Element, LaurentPoly]] = {}
+        self._columns: dict[Element, Mapping[Element, LaurentPoly]] = {}
         self.computed = 0  # columns computed here rather than loaded
-        self._packed: list[dict[int, int] | None] = [None] * system.order
+        self._packed: list[dict[int, int] | None] = [None] * system.order  # set on first _packed_column
+        self._ints: dict[int, int] = {}  # intern table: equal packed entries share one int
+        self._unguarded: dict[int, dict[int, int] | None] = {}  # loaded, not read yet; None: not packable
         self._top = 1  # largest coefficient in any packed column so far
-        self._polys = cache(_decode)  # intern table: equal entries share one LaurentPoly
+        self._polys = cache(partial(unpack, K=_DIGIT, off=0))  # intern table: h -> its one LaurentPoly
         self._packs: dict[int, int] = {}  # id of an interned loaded entry -> its packed int
         self._l1: dict[int, int] = {}  # see _column_l1
 
     # -- core recursion ----------------------------------------------------
 
     def kl_column(self, w: Element) -> Mapping[Element, LaurentPoly]:
-        """The map x -> h_{x,w}; absent keys are zero.  Treat as read-only."""
+        """The read-only map x -> h_{x,w}; absent keys are zero."""
         col = self._columns.get(w)
         if col is None:
             i = self.system.index(w)
             packed = self._packed[i] = self._compute(i)
             self.computed += 1
-            els, polys = self.system.elements(), self._polys
-            col = self._columns[w] = {els[x]: polys(h) for x, h in packed.items()}
+            col = self._columns[w] = _Column(self, packed)
+        elif self._unguarded and (i := self.system.index(w)) in self._unguarded:
+            packed = self._unguarded[i]  # loaded: guarded on its first read
+            if packed is None:
+                self._fail(i, "a loaded entry is not in Z[q] with coefficients in [0, 2^62)")
+            self._guard(i, packed)
+            del self._unguarded[i]
         return col
 
     def _packed_column(self, i: int) -> dict[int, int]:
-        """Packed column i.  Read through kl_column even when loaded, so a missing
-        column shows up as extra kl_column calls; computing a column packs it."""
+        """Packed column i.  Read through kl_column the first time, even when
+        loaded, so a missing column shows up as extra kl_column calls."""
         if self._packed[i] is None:
-            loaded = self.kl_column(self.system.elements()[i])
-            if self._packed[i] is None:  # loaded: pack it, behind the guard
-                index, packs = self.system._index, self._packs
-                try:  # load packed every entry that is _packable
-                    col = {index[x]: packs[id(p)] for x, p in loaded.items()}
-                except KeyError:
-                    self._fail(i, "a loaded entry is not in Z[q] with coefficients in [0, 2^62)")
-                self._guard(i, col)
-                self._packed[i] = col
+            col = self.kl_column(self.system.elements()[i])
+            if self._packed[i] is None:  # loaded: the view's own dict
+                self._packed[i] = col._packed
         return self._packed[i]
 
     def _column_l1(self, i: int) -> int:
@@ -145,6 +168,9 @@ class KLCache:
                 except KeyError:
                     self._fail(i, "a loaded column has an entry outside the Bruhat interval")
         self._guard(i, out, low, mu_sum)
+        intern = self._ints.setdefault
+        for x, h in out.items():
+            out[x] = intern(h, h)
         return out
 
     def _guard(self, i: int, col: dict[int, int], low: int = 0, mu_sum: int = 0):
@@ -229,23 +255,28 @@ class KLCache:
         if obj.get("group") != system.type_string:
             raise ValueError(f"cache is for group {obj.get('group')!r}, not {system.type_string}")
         out = cls(system)
-        element = cache(lambda text: system.element_from_word(parse_word(text)))  # each word parsed once
-        polys: dict[tuple, LaurentPoly] = {}  # one LaurentPoly per distinct JSON polynomial
+        els = system.elements()
+        index = cache(lambda text: system.index(system.element_from_word(parse_word(text))))
+        packs: dict[tuple, int | None] = {}  # one pack per distinct JSON polynomial; None: not packable
 
-        def poly(obj) -> LaurentPoly:
+        def packed(obj) -> int | None:
             key = tuple(obj.items())
-            p = polys.get(key)
-            if p is None:
-                p = LaurentPoly.from_json_obj(obj)
-                if _packable(p):  # share the decoded entries' object; packing it is one lookup
+            if key not in packs:
+                p, h = LaurentPoly.from_json_obj(obj), None
+                if all(e >= 0 and 0 <= c < _LIMIT for e, c in p.items()):  # in Z[q], digits < 2^62
                     h = pack(p, _DIGIT, 0)
-                    p = out._polys(h)
-                    out._packs[id(p)] = h
-                polys[key] = p
-            return p
+                    h = out._ints.setdefault(h, h)
+                    out._packs[id(out._polys(h))] = h
+                packs[key] = h
+            return packs[key]
 
         for wtext, col in obj["columns"].items():
-            out._columns[element(wtext)] = {element(xtext): poly(p) for xtext, p in col.items()}
+            i = index(wtext)
+            column = out._unguarded[i] = {index(xtext): packed(p) for xtext, p in col.items()}
+            out._columns[els[i]] = _Column(out, column)
+            if None in column.values():  # kept decoded, so save writes it back; kl_column fails on it
+                out._columns[els[i]] = {els[index(x)]: LaurentPoly.from_json_obj(p) for x, p in col.items()}
+                out._unguarded[i] = None
         return out
 
 

@@ -1,0 +1,150 @@
+"""One packed, interned form per KL column: kl_column hands out read-only
+views of it, loaded columns are views of the packed dicts load built, and a
+damaged cache file gives a clean error or the undamaged output."""
+
+import contextlib
+import gzip
+import io
+import json
+import tempfile
+from collections.abc import Mapping
+from functools import cache
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from heckekl import KLCache, coxeter_system
+from heckekl.cli import main
+from heckekl.laurent import ONE, ZERO
+from conftest import get_cache
+
+
+def _packed_entries(cache):
+    for i in range(cache.system.order):
+        yield from cache._packed_column(i).values()
+
+
+@pytest.mark.parametrize("group", ["B3", "A4"])
+def test_equal_packed_entries_are_one_int(group):
+    cache = get_cache(group)
+    cache.fill()
+    seen = {}
+    for h in _packed_entries(cache):
+        assert seen.setdefault(h, h) is h
+    assert len(seen) < sum(map(len, cache._columns.values())) / 10
+
+
+def test_loaded_and_computed_columns_share_one_intern_table(tmp_path):
+    s = coxeter_system("B3")
+    low = KLCache(s)
+    for w in s.elements()[:20]:
+        low.kl_column(w)
+    path = tmp_path / "low.klcache.gz"
+    low.save(path)
+    loaded = KLCache.load(path, s)
+    loaded.fill()
+    assert loaded.computed == s.order - len(low._columns)
+    seen = {}
+    for h in _packed_entries(loaded):
+        assert seen.setdefault(h, h) is h
+
+
+def test_kl_column_is_a_read_only_mapping():
+    cache = get_cache("A3")
+    s = cache.system
+    for w in s.elements():
+        col = cache.kl_column(w)
+        assert isinstance(col, Mapping) and not hasattr(col, "__setitem__")
+        plain = dict(col.items())
+        assert col == plain and plain == col
+        assert not (col != plain or plain != col)
+        assert len(col) == len(plain) and list(col) == list(plain)
+        assert all(col[x] is p and x in col for x, p in plain.items())
+        assert list(col.values()) == list(plain.values())
+    s1, s2 = s.generator(1), s.generator(2)
+    col = cache.kl_column(s1)  # s2 is not below s1
+    assert col.get(s2, ZERO) is ZERO and col.get(s2) is None and s2 not in col
+    assert col.get("not an element", ZERO) is ZERO
+    assert col != {**dict(col.items()), s2: ONE} and {**dict(col.items()), s2: ONE} != col
+    with pytest.raises(KeyError):
+        col[s2]
+    with pytest.raises(TypeError):
+        col[s2] = ONE
+
+
+def test_loaded_columns_are_views_of_the_packed_columns(tmp_path):
+    s = coxeter_system("B3")
+    path = tmp_path / "b3.klcache.gz"
+    get_cache("B3").save(path)
+    loaded = KLCache.load(path, s)
+    for w in s.elements():
+        col = loaded._columns[w]
+        assert not isinstance(col, dict)  # no element-keyed copy
+        assert loaded.kl_column(w) is col
+        assert col._packed is loaded._packed_column(s.index(w))
+        assert col == get_cache("B3").kl_column(w)
+    assert loaded.computed == 0
+    assert all(loaded._ints[h] is h for h in _packed_entries(loaded))
+
+
+def test_kl_on_an_edited_diagonal_is_a_clean_error(tmp_path, capsys):
+    # an edited and re-gzipped payload passes gzip's checks; the KL guard
+    # runs on each loaded column when kl first reads it
+    cache_dir = tmp_path / "caches"
+    assert main(["kl", "--group", "A2", "--cache-dir", str(cache_dir)]) == 0
+    path = cache_dir / "A2.klcache.gz"
+    with gzip.open(path, "rt", encoding="utf-8") as fh:
+        obj = json.load(fh)
+    obj["columns"]["1,2"]["1,2"] = {"0": 2}
+    with gzip.open(path, "wt", encoding="utf-8") as fh:
+        json.dump(obj, fh)
+    capsys.readouterr()
+    for extra in ([], ["--w", "1,2"], ["--format", "csv"]):
+        assert main(["kl", "--group", "A2", "--cache-dir", str(cache_dir), *extra]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: KL column 1,2: the diagonal entry is not 1\n"
+
+
+# ---------------------------------------------------------------------------
+# damaged cache files
+# ---------------------------------------------------------------------------
+
+
+def _kl_a3(cache_dir) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["kl", "--group", "A3", "--cache-dir", str(cache_dir)])
+    return code, out.getvalue(), err.getvalue()
+
+
+@cache
+def _saved_a3() -> tuple[bytes, str]:
+    """A saved A3 cache file and the kl output read from it."""
+    with tempfile.TemporaryDirectory() as d:
+        assert _kl_a3(d)[0] == 0  # cold: computes and saves
+        code, out, _ = _kl_a3(d)  # warm: reads the file
+        assert code == 0
+        return (Path(d) / "A3.klcache.gz").read_bytes(), out
+
+
+@st.composite
+def damaged(draw):
+    data = _saved_a3()[0]
+    if draw(st.booleans()):
+        return data[: draw(st.integers(0, len(data) - 1))]
+    bit = draw(st.integers(0, 8 * len(data) - 1))
+    return data[: bit // 8] + bytes([data[bit // 8] ^ 1 << bit % 8]) + data[bit // 8 + 1 :]
+
+
+@settings(database=None, deadline=None, derandomize=True, max_examples=150)
+@given(damaged())
+def test_damaged_cache_file_is_an_error_or_the_same_output(data):
+    with tempfile.TemporaryDirectory() as d:
+        (Path(d) / "A3.klcache.gz").write_bytes(data)
+        code, out, err = _kl_a3(d)
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert (code, out, err) == (0, _saved_a3()[1], "")
