@@ -74,3 +74,25 @@ def test_right_split_matches_a_descent_walk(group):
         for J in map(frozenset, itertools.combinations(s.generators, r)):
             for w in s.elements():
                 assert s.parabolic_factorize_right(w, J) == _right_split_by_descents(s, w, J)
+
+
+@pytest.mark.parametrize("group", ["A3", "B3", "D4", "I2(7)"])
+def test_parabolic_tables_match_the_descent_filters(group):
+    s = coxeter_system(group)
+    els = s.elements()
+    for r in range(s.rank + 1):
+        for J in map(frozenset, itertools.combinations(s.generators, r)):
+            wj = tuple(w for w in els if s.in_parabolic(w, J))
+            left = tuple(w for w in els if not s.right_descents(w) & J)
+            right = tuple(w for w in els if not s.left_descents(w) & J)
+            assert s.subgroup_elements(J) == wj
+            assert s.min_coset_reps(J, "left") == left
+            assert s.min_coset_reps(J, "right") == right
+            split, join = s.coset_index(J)
+            assert len(split) == s.order
+            assert {(u, v, k) for u, row in join.items() for v, k in row.items()} == {
+                (u, v, k) for k, (u, v) in enumerate(split)
+            }
+            # keys in canonical order: W^J across, W_J down the identity's row
+            assert list(join) == [s.index(u) for u in left]
+            assert list(join[0]) == [s.index(v) for v in wj]
