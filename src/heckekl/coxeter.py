@@ -22,7 +22,9 @@ Generators are named 1..rank.  Conventions:
 
 Bruhat order is one bitset per element, the lower interval [e, w] over
 canonical indices, built on first use by the lifting property
-[e, w] = [e, sw] u s[e, sw] (s a left descent of w).
+[e, w] = [e, sw] u s[e, sw] (s a left descent of w).  For a subset J, one
+table on indices holds the split w = u*v (u in W^J, v in W_J) and its
+inverse; W_J, W^J, ^JW and both parabolic factorizations are read off it.
 Groups are capped at desk scale (A5/B4/D4/I2(24)) unless allow_large=True.
 """
 
@@ -196,10 +198,7 @@ class CoxeterSystem:
         self.rank = real.rank
         self.generators = tuple(range(1, self.rank + 1))
         self._build()
-        self._subgroup_cache: dict[frozenset, tuple[Element, ...]] = {}
-        self._reps_cache: dict[tuple[frozenset, str], tuple[Element, ...]] = {}
-        self._coset_tables: dict[frozenset, dict[Element, tuple[Element, Element]]] = {}
-        self._coset_indices: dict[frozenset, tuple[list, dict]] = {}
+        self._coset_indices: dict[frozenset, tuple[list, dict]] = {}  # see coset_index
 
     # -- construction --------------------------------------------------
 
@@ -388,73 +387,59 @@ class CoxeterSystem:
         # the letters of any reduced word of w are an invariant of w
         return set(self._word[w]) <= J
 
-    def subgroup_elements(self, J: Iterable[int]) -> tuple[Element, ...]:
-        """W_J in canonical order."""
-        J = self.subset(J)
-        got = self._subgroup_cache.get(J)
-        if got is None:
-            got = tuple(w for w in self._elements if self.in_parabolic(w, J))
-            self._subgroup_cache[J] = got
-        return got
-
-    def min_coset_reps(self, J: Iterable[int], side: str = "left") -> tuple[Element, ...]:
-        """Minimal coset representatives, canonical order.
-
-        side="left": W^J, representatives of the left cosets uW_J (no right
-        descent in J).  side="right": ^JW (no left descent in J).
-        """
-        J = self.subset(J)
-        if side not in ("left", "right"):
-            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-        key = (J, side)
-        got = self._reps_cache.get(key)
-        if got is None:
-            desc = self._rdesc if side == "left" else self._ldesc
-            got = tuple(w for w in self._elements if not (desc[w] & J))
-            self._reps_cache[key] = got
-        return got
-
-    def coset_table(self, J: Iterable[int]) -> dict[Element, tuple[Element, Element]]:
-        """w -> (u, v), the split of parabolic_factorize_left, for every w;
-        built once per J.  Treat as read-only."""
-        J = self.subset(J)
-        table = self._coset_tables.get(J)
-        if table is None:
-            # canonical order puts w*s (s a right descent) before w, and if
-            # w*s = u*v' then w = u*(v's)
-            table = self._coset_tables[J] = {}
-            for w in self._elements:
-                ds = self._rdesc[w] & J
-                if ds:
-                    s = min(ds)
-                    u, v = table[self._right[w][s - 1]]
-                    table[w] = (u, self._right[v][s - 1])
-                else:
-                    table[w] = (w, self.identity)
-        return table
-
     def coset_index(self, J: Iterable[int]) -> tuple[list[tuple[int, int]], dict[int, dict[int, int]]]:
-        """coset_table(J) on indices: split[k] = (index of u, index of v) for
-        elements()[k] = u*v, and join[u][v] = k.  Built once per J; read-only."""
+        """w = u*v (u in W^J, v in W_J, lengths adding) on indices: split[k] = (u, v)
+        and join[u][v] = k.  join's keys come in canonical order: list(join) is W^J
+        and list(join[0]) is W_J.  Built once per J; read-only."""
         J = self.subset(J)
         got = self._coset_indices.get(J)
         if got is None:
-            table, index = self.coset_table(J), self._index
-            split = [(index[u], index[v]) for u, v in map(table.__getitem__, self._elements)]
+            # canonical order puts w*s (s a right descent) before w, and if
+            # w*s = u*v' then w = u*(v's); u itself is first reached at k = u
+            split: list[tuple[int, int]] = []
             join: dict[int, dict[int, int]] = {}
-            for k, (u, v) in enumerate(split):
+            right, rdesc = self.right_index, self._rdesc
+            for k, w in enumerate(self._elements):
+                u, v = k, 0
+                if ds := rdesc[w] & J:
+                    rs = right[min(ds) - 1]
+                    u, v = split[rs[k]]
+                    v = rs[v]
+                split.append((u, v))
                 join.setdefault(u, {})[v] = k
             got = self._coset_indices[J] = split, join
         return got
 
+    def subgroup_elements(self, J: Iterable[int]) -> tuple[Element, ...]:
+        """W_J in canonical order."""
+        return tuple(map(self._elements.__getitem__, self.coset_index(J)[1][0]))
+
+    def min_coset_reps(self, J: Iterable[int], side: str = "left") -> tuple[Element, ...]:
+        """Minimal coset representatives in canonical order.  side="left": W^J,
+        representatives of the left cosets uW_J (no right descent in J);
+        side="right": ^JW (no left descent in J), the inverses of W^J."""
+        join = self.coset_index(J)[1]
+        if side not in ("left", "right"):
+            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        reps = tuple(map(self._elements.__getitem__, join))
+        if side == "left":
+            return reps
+        return tuple(sorted(map(self._inverse.__getitem__, reps), key=self._index.__getitem__))
+
+    def coset_table(self, J: Iterable[int]) -> dict[Element, tuple[Element, Element]]:
+        """w -> (u, v), the split of parabolic_factorize_left, for every w."""
+        els = self._elements
+        return {els[k]: (els[u], els[v]) for k, (u, v) in enumerate(self.coset_index(J)[0])}
+
     def parabolic_factorize_left(self, w: Element, J: Iterable[int]) -> tuple[Element, Element]:
         """The unique (u, v) with w = u*v, u in W^J, v in W_J, lengths adding."""
-        return self.coset_table(J)[w]
+        u, v = self.coset_index(J)[0][self._index[w]]
+        return self._elements[u], self._elements[v]
 
     def parabolic_factorize_right(self, w: Element, J: Iterable[int]) -> tuple[Element, Element]:
         """The unique (v, u) with w = v*u, v in W_J, u in ^JW, lengths adding:
         the inverses of the left split of w^-1."""
-        u, v = self.coset_table(J)[self._inverse[w]]
+        u, v = self.parabolic_factorize_left(self._inverse[w], J)
         return self._inverse[v], self._inverse[u]
 
 

@@ -51,7 +51,7 @@ from typing import Iterable, Mapping
 from weakref import WeakKeyDictionary
 
 from .coxeter import CoxeterSystem, Element
-from .laurent import ExactnessError, LaurentPoly, ONE, ZERO, pack, unpack, width
+from .laurent import ExactnessError, LaurentPoly, ONE, ZERO, decoder, pack, unpack, width
 
 
 class MixedSystemError(ValueError):
@@ -293,16 +293,8 @@ def _check_exact(low: int, K: int):
 
 
 def _unpack_terms(system: CoxeterSystem, packed: dict[int, int], K: int, off: int) -> HeckeElement:
-    els = system.elements()
-    polys: dict[int, LaurentPoly] = {}  # equal coefficients decode once
-    terms = {}
-    for i, P in packed.items():
-        if P:
-            p = polys.get(P)
-            if p is None:
-                p = polys[P] = unpack(P, K, off)
-            terms[els[i]] = p
-    return HeckeElement(system, terms)
+    els, decode = system.elements(), decoder(K, off)  # equal coefficients decode once
+    return HeckeElement(system, {els[i]: decode(P) for i, P in packed.items() if P})
 
 
 _BAR_ROWS: "WeakKeyDictionary[CoxeterSystem, tuple[int, list]]" = WeakKeyDictionary()

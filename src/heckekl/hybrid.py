@@ -56,7 +56,7 @@ from typing import Iterable, Mapping
 from .coxeter import CoxeterSystem, Element, format_word
 from .hecke import HeckeElement, t_basis
 from .klbasis import _DIGIT as _KL_WIDTH, KLCache
-from .laurent import ExactnessError, LaurentPoly, ZERO, json_encoder, pack, unpack, width
+from .laurent import ExactnessError, LaurentPoly, ZERO, decoder, json_encoder, pack, width
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,7 @@ def expand_in_hybrid(
 
     def run(solver: _Solver) -> dict[Element, LaurentPoly]:
         pieces = _pieces(split, {index(x): pack(c, solver.K, off) for x, c in h.terms.items()})
-        decode = solver.decoder(off)
+        decode = decoder(solver.K, off)
         return {els[x]: decode(d) for x, d in _solve_pieces(solver, pieces, join, bound).items()}
 
     return _at_safe_width(cache, bound, run)
@@ -135,7 +135,7 @@ def restriction_coeffs(
 
     def run(solver: _Solver) -> dict[Element, LaurentPoly]:
         tvec = {split[x][1]: h for x, h in solver.column(wi).items() if split[x][0] == ui}
-        decode = solver.decoder(0)
+        decode = decoder(solver.K, 0)
         return {els[v]: decode(d) for v, d in solver.solve(tvec, cache._column_l1(wi)).items()}
 
     return _at_safe_width(cache, 1, run)
@@ -167,11 +167,6 @@ class _Solver:
     def _repacked(self, i: int) -> dict[int, int]:
         polys, K = self._cache._polys, self.K
         return {x: pack(polys(h), K, 0) for x, h in self._cache._packed_column(i).items()}
-
-    def decoder(self, off: int):
-        """Packed value -> LaurentPoly at offset off, each distinct value decoded once."""
-        K = self.K
-        return functools.cache(lambda P: unpack(P, K, off))
 
     def solve(self, tvec: dict[int, int], bound: int) -> dict[int, int]:
         """Solve sum_v d_v C_v = sum_v tvec[v] T_v inside a parabolic subgroup,
@@ -359,21 +354,19 @@ def transition_matrix(
     if replicate:
         # column vp of the block: C_vp (vp in W_J) expanded in TC^I
         split_i, join_i = sys.coset_index(I)
-        wj = [sys.index(vp) for vp in sys.subgroup_elements(J)]
+        split_j, join_j = sys.coset_index(J)
 
         def run(solver: _Solver) -> dict[int, list[tuple[int, LaurentPoly]]]:
-            decode = solver.decoder(0)
+            decode = decoder(solver.K, 0)
             block = {}
-            for vp in wj:
+            for vp in join_j[0]:  # W_J
                 pieces = _pieces(split_i, solver.column(vp))
                 col = _solve_pieces(solver, pieces, join_i, cache._column_l1(vp))
                 block[vp] = [(x, decode(d)) for x, d in col.items()]
             return block
 
         block = _at_safe_width(cache, 1, run)
-        split_j, join_j = sys.coset_index(J)
-        for k, w in enumerate(order):
-            u, vp = split_j[k]
+        for w, (u, vp) in zip(order, split_j):
             row = join_j[u]
             cols[w] = {order[row[x]]: c for x, c in block[vp]}
     else:
@@ -408,7 +401,7 @@ def matmul(a: TransitionMatrix, b: TransitionMatrix) -> TransitionMatrix:
     pa = {k: pack(p, K, off_a) for k, p in da.items()}
     pb = {k: pack(p, K, off_b) for k, p in db.items()}
     rows = {y: [(index(x), pa[id(p)]) for x, p in col.items()] for y, col in a.columns.items()}
-    decode = functools.cache(lambda P: unpack(P, K, off_a + off_b))
+    decode = decoder(K, off_a + off_b)
     cols: dict[Element, dict[Element, LaurentPoly]] = {}
     for w, colb in b.columns.items():
         acc: dict[int, int] = {}
@@ -454,14 +447,13 @@ def parabolic_kl(cache: KLCache, J: Iterable[int]) -> dict[tuple[Element, Elemen
     restriction coefficient of C_{u'} at u.  Zeros omitted."""
     sys = cache.system
     J = sys.subset(J)
-    split = sys.coset_index(J)[0]
+    split, join = sys.coset_index(J)
     els = sys.elements()
-    reps = [sys.index(u) for u in sys.min_coset_reps(J, "left")]
 
     def run(solver: _Solver) -> dict[tuple[Element, Element], LaurentPoly]:
-        decode = solver.decoder(0)
+        decode = decoder(solver.K, 0)
         out = {}
-        for up in reps:
+        for up in join:  # W^J
             bound = cache._column_l1(up)
             for u, tvec in _pieces(split, solver.column(up)).items():
                 c = solver.solve(tvec, bound).get(0)  # index 0: the identity

@@ -41,14 +41,14 @@ import io
 import json
 import os
 from collections.abc import Mapping
-from functools import cache, partial, reduce
-from itertools import combinations
+from functools import cache, reduce
+from itertools import chain, combinations
 from operator import or_
 from typing import Iterable
 
 from .coxeter import CoxeterSystem, Element, UnsupportedGroupError, format_word, parse_word
 from .hecke import HeckeElement
-from .laurent import ExactnessError, LaurentPoly, ONE, Q, QINV, ZERO, json_encoder, pack, unpack
+from .laurent import ExactnessError, LaurentPoly, ONE, Q, QINV, ZERO, decoder, json_encoder, pack
 
 _CACHE_FORMAT = 1
 
@@ -99,8 +99,7 @@ class KLCache:
         self._ints: dict[int, int] = {}  # intern table: equal packed entries share one int
         self._unguarded: dict[int, dict[int, int] | None] = {}  # loaded, not read yet; None: not packable
         self._top = 1  # largest coefficient in any packed column so far
-        self._polys = cache(partial(unpack, K=_DIGIT, off=0))  # intern table: h -> its one LaurentPoly
-        self._packs: dict[int, int] = {}  # id of an interned loaded entry -> its packed int
+        self._polys = decoder(_DIGIT, 0)  # intern table: h -> its one LaurentPoly
         self._l1: dict[int, int] = {}  # see _column_l1
 
     # -- core recursion ----------------------------------------------------
@@ -250,10 +249,15 @@ class KLCache:
     def load(cls, path, system: CoxeterSystem) -> "KLCache":
         with gzip.open(path, "rt", encoding="utf-8") as fh:
             obj = json.load(fh)
+        if type(obj) is not dict:
+            raise ValueError("cache file is not a JSON object")
         if obj.get("format") != _CACHE_FORMAT:
             raise ValueError(f"unsupported cache format {obj.get('format')!r}")
         if obj.get("group") != system.type_string:
             raise ValueError(f"cache is for group {obj.get('group')!r}, not {system.type_string}")
+        columns = obj.get("columns")
+        if type(columns) is not dict or not {*map(type, columns.values())} <= {dict}:
+            raise ValueError("cache columns are not an object of objects")
         out = cls(system)
         els = system.elements()
         index = cache(lambda text: system.index(system.element_from_word(parse_word(text))))
@@ -266,11 +270,14 @@ class KLCache:
                 if all(e >= 0 and 0 <= c < _LIMIT for e, c in p.items()):  # in Z[q], digits < 2^62
                     h = pack(p, _DIGIT, 0)
                     h = out._ints.setdefault(h, h)
-                    out._packs[id(out._polys(h))] = h
                 packs[key] = h
             return packs[key]
 
-        for wtext, col in obj["columns"].items():
+        for wtext, col in columns.items():
+            polys = col.values()  # int() would also take a float or a bool coefficient
+            coeffs = chain.from_iterable(map(dict.values, polys))  # read once every entry is an object
+            if not {*map(type, polys)} <= {dict} or not {*map(type, coeffs)} <= {int, str}:
+                raise ValueError(f"cache column {wtext!r}: an entry is not an object of integer coefficients")
             i = index(wtext)
             column = out._unguarded[i] = {index(xtext): packed(p) for xtext, p in col.items()}
             out._columns[els[i]] = _Column(out, column)

@@ -24,6 +24,7 @@ True
 
 from __future__ import annotations
 
+from functools import cache, partial
 from typing import Callable, Iterator, Mapping
 
 
@@ -224,6 +225,12 @@ def unpack(P: int, K: int, off: int) -> LaurentPoly:
     mask, half = (1 << K) - 1, 1 << K - 1
     P += half * (((1 << K * n) - 1) // mask)  # every digit d becomes d + 2^(K-1), in [0, 2^K)
     return _wrap({j - off: d for j in range(n) if (d := (P >> K * j & mask) - half)})
+
+
+def decoder(K: int, off: int) -> Callable[[int], LaurentPoly]:
+    """unpack at (K, off), each distinct packed value decoded once: equal
+    values come back as one LaurentPoly object."""
+    return cache(partial(unpack, K=K, off=off))
 
 
 def _wrap(c: dict[int, int]) -> LaurentPoly:

@@ -49,10 +49,9 @@ def sign_project(h: HeckeElement, J: Iterable[int]) -> SignModuleElement:
     """
     sys = h.system
     J = sys.subset(J)
-    split = sys.coset_table(J)
     out: dict[Element, LaurentPoly] = {}
     for w, c in h.terms.items():
-        u, v = split[w]
+        u, v = sys.parabolic_factorize_left(w, J)
         lv = sys.length(v)
         _add(out, u, c * LaurentPoly.q_power(lv, (-1) ** lv))
     return SignModuleElement(sys, J, out)

@@ -87,6 +87,46 @@ def test_damaged_loaded_column_is_a_clean_error(tmp_path, capsys):
     assert "KL column 1,2" in err
 
 
+def _with(obj, keys, value):
+    """obj with obj[keys[0]]...[keys[-1]] set to value."""
+    *outer, last = keys
+    target = obj
+    for k in outer:
+        target = target[k]
+    target[last] = value
+    return obj
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda obj: _with(obj, ["columns", "1", "1"], [1]),
+        lambda obj: _with(obj, ["columns", "1"], [{"0": 1}]),
+        lambda obj: [obj],
+        lambda obj: {k: v for k, v in obj.items() if k != "columns"},
+        lambda obj: _with(obj, ["columns"], [obj["columns"]]),
+        lambda obj: _with(obj, ["columns", "1", ""], {"1": 1.0}),  # int() would truncate a float
+        lambda obj: _with(obj, ["columns", "1", ""], {"1": 1.5}),
+        lambda obj: _with(obj, ["columns", "1", ""], {"1": True}),
+        lambda obj: _with(obj, ["columns", "1", ""], {"1": [1]}),
+        lambda obj: _with(obj, ["columns", "1", ""], {"1": None}),
+    ],
+    ids=[
+        "list-entry", "list-column", "list-top-level", "no-columns", "columns-list",
+        "float-coefficient", "fractional-coefficient", "bool-coefficient", "list-coefficient",
+        "null-coefficient",
+    ],
+)
+def test_malformed_cache_file_is_a_clean_error(tmp_path, capsys, edit):
+    cache_dir, path = _filled_cache_file(tmp_path, capsys)
+    with gzip.open(path, "rt", encoding="utf-8") as fh:
+        obj = json.load(fh)
+    with gzip.open(path, "wt", encoding="utf-8") as fh:
+        json.dump(edit(obj), fh)
+    code, out, err = run(capsys, "kl", "--group", "A2", "--cache-dir", str(cache_dir))
+    assert_clean_error(code, out, err)
+
+
 def test_exactness_error_without_a_message_names_its_type(capsys, monkeypatch):
     def fail(args):
         raise ExactnessError()
