@@ -427,7 +427,7 @@ class CoxeterSystem:
         return tuple(sorted(map(self._inverse.__getitem__, reps), key=self._index.__getitem__))
 
     def coset_table(self, J: Iterable[int]) -> dict[Element, tuple[Element, Element]]:
-        """w -> (u, v), the split of parabolic_factorize_left, for every w."""
+        """w -> (u, v), the split of parabolic_factorize_left, for every w; a new dict per call."""
         els = self._elements
         return {els[k]: (els[u], els[v]) for k, (u, v) in enumerate(self.coset_index(J)[0])}
 
