@@ -251,7 +251,7 @@ class KLCache:
             obj = json.load(fh)
         if type(obj) is not dict:
             raise ValueError("cache file is not a JSON object")
-        if obj.get("format") != _CACHE_FORMAT:
+        if obj.get("format") != _CACHE_FORMAT or type(obj["format"]) is not int:  # true == 1.0 == 1
             raise ValueError(f"unsupported cache format {obj.get('format')!r}")
         if obj.get("group") != system.type_string:
             raise ValueError(f"cache is for group {obj.get('group')!r}, not {system.type_string}")
@@ -277,7 +277,7 @@ class KLCache:
             polys = col.values()  # int() would also take a float or a bool coefficient
             coeffs = chain.from_iterable(map(dict.values, polys))  # read once every entry is an object
             if not {*map(type, polys)} <= {dict} or not {*map(type, coeffs)} <= {int, str}:
-                raise ValueError(f"cache column {wtext!r}: an entry is not an object of integer coefficients")
+                raise ValueError(f"cache column {wtext!r}: an entry is not an object of ints or decimal strings")
             i = index(wtext)
             column = out._unguarded[i] = {index(xtext): packed(p) for xtext, p in col.items()}
             out._columns[els[i]] = _Column(out, column)

@@ -110,11 +110,13 @@ def _with(obj, keys, value):
         lambda obj: _with(obj, ["columns", "1", ""], {"1": True}),
         lambda obj: _with(obj, ["columns", "1", ""], {"1": [1]}),
         lambda obj: _with(obj, ["columns", "1", ""], {"1": None}),
+        lambda obj: _with(obj, ["format"], True),
+        lambda obj: _with(obj, ["format"], 1.0),
     ],
     ids=[
         "list-entry", "list-column", "list-top-level", "no-columns", "columns-list",
         "float-coefficient", "fractional-coefficient", "bool-coefficient", "list-coefficient",
-        "null-coefficient",
+        "null-coefficient", "bool-format", "float-format",
     ],
 )
 def test_malformed_cache_file_is_a_clean_error(tmp_path, capsys, edit):
