@@ -24,7 +24,7 @@ True
 
 from __future__ import annotations
 
-from functools import cache, partial
+from functools import cache
 from typing import Callable, Iterator, Mapping
 
 
@@ -228,9 +228,9 @@ def unpack(P: int, K: int, off: int) -> LaurentPoly:
 
 
 def decoder(K: int, off: int) -> Callable[[int], LaurentPoly]:
-    """unpack at (K, off), each distinct packed value decoded once: equal
-    values come back as one LaurentPoly object."""
-    return cache(partial(unpack, K=K, off=off))
+    """unpack at (K, off), each distinct packed value decoded once, to one object.
+    A lambda: functools.cache wraps a partial at twice the cost, once per product."""
+    return cache(lambda P: unpack(P, K, off))
 
 
 def _wrap(c: dict[int, int]) -> LaurentPoly:
