@@ -42,8 +42,9 @@ from .hybrid import (
     matmul,
     parabolic_kl,
     restriction_coeffs,
+    sparse_entries,
 )
-from .laurent import ExactnessError, ZERO, json_encoder
+from .laurent import ExactnessError, ZERO
 from .verification import crystallographic_note, run_suite
 
 _EMPTY_TOKENS = {"", "e", "@", "∅"}
@@ -194,11 +195,7 @@ def cmd_parabolic(args) -> tuple[int, str]:
     if args.format == "csv":
         cells = ([str(P.get((u, u2), ZERO)) for u2 in reps] for u in reps)
         return 0, csv_grid("u\\u'", order, cells)
-    idx = {u: k for k, u in enumerate(reps)}
-    encode = json_encoder()
-    entries = sorted(
-        ([idx[u], idx[u2], encode(p)] for (u, u2), p in P.items()), key=lambda t: (t[1], t[0])
-    )
+    entries = sparse_entries(reps, ((u, u2, p) for (u, u2), p in P.items()))
     obj = {"group": sys_.type_string, "J": sorted(J), "order": order, "entries": entries}
     return 0, _json_text(obj)
 

@@ -9,7 +9,7 @@ tables by generators are read off the product, and from those follow the
 descent sets, the ShortLex canonical reduced word (greedy smallest left
 descent) and the inverse (w^-1 = (s w)^-1 s for s the first letter of the
 word).  Canonical element order is (length, word) and is the order used for
-every matrix and listing in the package.
+every matrix and listing; the multiplication tables are kept on its indices only.
 
 Generators are named 1..rank.  Conventions:
 
@@ -23,8 +23,9 @@ Generators are named 1..rank.  Conventions:
 Bruhat order is one bitset per element, the lower interval [e, w] over
 canonical indices, built on first use by the lifting property
 [e, w] = [e, sw] u s[e, sw] (s a left descent of w).  For a subset J, one
-table on indices holds the split w = u*v (u in W^J, v in W_J) and its
-inverse; W_J, W^J, ^JW and both parabolic factorizations are read off it.
+table on indices, built when J is first validated, holds the split w = u*v
+(u in W^J, v in W_J) and its inverse; W_J membership (u = e), W^J, ^JW and
+both parabolic factorizations are read off it.
 Groups are capped at desk scale (A5/B4/D4/I2(24)) unless allow_large=True.
 """
 
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
+from math import factorial
 from typing import Iterable
 
 Element = tuple
@@ -52,7 +54,7 @@ class _TypeA:
 
     def __init__(self, n: int):
         self.rank = n
-        self.order_formula = _factorial(n + 1)
+        self.order_formula = factorial(n + 1)
 
     def identity(self) -> Element:
         return tuple(range(1, self.rank + 2))
@@ -71,7 +73,7 @@ class _TypeB:
 
     def __init__(self, n: int):
         self.rank = n
-        self.order_formula = 2**n * _factorial(n)
+        self.order_formula = 2**n * factorial(n)
 
     def identity(self) -> Element:
         return tuple(range(1, self.rank + 1))
@@ -93,7 +95,7 @@ class _TypeD(_TypeB):
 
     def __init__(self, n: int):
         self.rank = n
-        self.order_formula = 2 ** (n - 1) * _factorial(n)
+        self.order_formula = 2 ** (n - 1) * factorial(n)
 
     def gen(self, i: int) -> Element:
         e = list(self.identity())
@@ -162,13 +164,6 @@ def _bits(b: int):
         b ^= low
 
 
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the system
 # ---------------------------------------------------------------------------
@@ -207,53 +202,55 @@ class CoxeterSystem:
         ident = real.identity()
         gens = [real.gen(i) for i in self.generators]
 
-        # breadth-first along right multiplication: the level at which w is
-        # first reached is l(w), and the rows are the right table
-        length = {ident: 0}
-        right: dict[Element, tuple[Element, ...]] = {}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                row = right[w] = tuple(real.multiply(w, g) for g in gens)
-                for v in row:
-                    if v not in length:
-                        length[v] = length[w] + 1
-                        nxt.append(v)
-            frontier = nxt
-        if len(length) != real.order_formula:
-            raise RuntimeError(f"enumeration produced {len(length)} elements, expected {real.order_formula}")
-        left = {w: tuple(real.multiply(g, w) for g in gens) for w in length}
+        # breadth-first along right multiplication, numbering elements as they
+        # are first reached: the level at which w is reached is l(w), and the
+        # rows are the right table on those numbers (els grows as it is read)
+        found = {ident: 0}
+        els, length, right = [ident], [0], []
+        for b, w in enumerate(els):
+            row = []
+            for g in gens:
+                v = real.multiply(w, g)
+                j = found.get(v)
+                if j is None:
+                    j = found[v] = len(els)
+                    els.append(v)
+                    length.append(length[b] + 1)
+                row.append(j)
+            right.append(row)
+        if len(els) != real.order_formula:
+            raise RuntimeError(f"enumeration produced {len(els)} elements, expected {real.order_formula}")
+        left = [[found[real.multiply(g, w)] for g in gens] for w in els]
 
-        word: dict[Element, Word] = {ident: ()}
-        for w in length:  # BFS order: shorter elements first
-            if w == ident:
-                continue
-            for i in self.generators:
-                sw = left[w][i - 1]
-                if length[sw] < length[w]:
-                    word[w] = (i,) + word[sw]
+        word: list[Word] = [()]
+        for b in range(1, len(els)):  # BFS order: shorter elements first
+            for i, sb in enumerate(left[b], 1):
+                if length[sb] < length[b]:
+                    word.append((i,) + word[sb])
                     break
 
-        order = sorted(length, key=lambda w: (length[w], word[w]))
-        # w^-1 = (s w)^-1 s for s the first letter of w's word; s w comes first
-        inverse = {ident: ident}
-        for w in order[1:]:
-            s = word[w][0]
-            inverse[w] = right[inverse[left[w][s - 1]]][s - 1]
-        self._elements = tuple(order)
-        self._index = {w: k for k, w in enumerate(order)}
-        self._length = length
-        self._word = word
-        self._right = right
-        self._left = left
+        order = sorted(range(len(els)), key=lambda b: (length[b], word[b]))
+        pos = {b: k for k, b in enumerate(order)}
+        # right_index[i - 1][k] is the index of elements()[k] * s_i, below k iff s_i
+        # is a right descent (indices follow length); left_index that of s_i * elements()[k]
+        self.right_index = ri = tuple([pos[right[b][i]] for b in order] for i in range(self.rank))
+        self.left_index = li = tuple([pos[left[b][i]] for b in order] for i in range(self.rank))
+        self._elements = elements = tuple(els[b] for b in order)
+        self._index = {w: k for k, w in enumerate(elements)}
+        self._length = {els[b]: length[b] for b in order}
+        self._word = {els[b]: word[b] for b in order}
         self._rdesc = {
-            w: frozenset(i for i in self.generators if length[right[w][i - 1]] < length[w]) for w in order
+            w: frozenset(i for i in self.generators if ri[i - 1][k] < k) for k, w in enumerate(elements)
         }
         self._ldesc = {
-            w: frozenset(i for i in self.generators if length[left[w][i - 1]] < length[w]) for w in order
+            w: frozenset(i for i in self.generators if li[i - 1][k] < k) for k, w in enumerate(elements)
         }
-        self._inverse = inverse
+        # w^-1 = (s w)^-1 s for s the first letter of w's word; s w comes first
+        inverse = [0]
+        for k in range(1, len(elements)):
+            s = word[order[k]][0] - 1
+            inverse.append(ri[s][inverse[li[s][k]]])
+        self._inverse = {w: elements[inverse[k]] for k, w in enumerate(elements)}
         self.identity = ident
 
     # -- basic queries ---------------------------------------------------
@@ -317,22 +314,11 @@ class CoxeterSystem:
 
     def apply_right(self, w: Element, i: int) -> Element:
         """w * s_i."""
-        return self._right[w][i - 1]
+        return self._elements[self.right_index[i - 1][self._index[w]]]
 
     def apply_left(self, i: int, w: Element) -> Element:
         """s_i * w."""
-        return self._left[w][i - 1]
-
-    @cached_property
-    def left_index(self) -> tuple[list[int], ...]:
-        """left_index[i - 1][k] is the index of s_i * elements()[k]."""
-        return tuple([self._index[self._left[w][i - 1]] for w in self._elements] for i in self.generators)
-
-    @cached_property
-    def right_index(self) -> tuple[list[int], ...]:
-        """right_index[i - 1][k] is the index of elements()[k] * s_i; it is
-        below k iff s_i is a right descent (indices follow length)."""
-        return tuple([self._index[self._right[w][i - 1]] for w in self._elements] for i in self.generators)
+        return self._elements[self.left_index[i - 1][self._index[w]]]
 
     def right_descents(self, w: Element) -> frozenset[int]:
         return self._rdesc[w]
@@ -342,12 +328,12 @@ class CoxeterSystem:
 
     def element_from_word(self, word: Iterable[int]) -> Element:
         """Product of generators; raises with the offending 1-based position."""
-        w = self.identity
+        k = 0
         for pos, g in enumerate(word, 1):
             if not isinstance(g, int) or not 1 <= g <= self.rank:
                 raise ValueError(f"invalid generator index {g!r} at position {pos} (rank {self.rank})")
-            w = self._right[w][g - 1]
-        return w
+            k = self.right_index[g - 1][k]
+        return self._elements[k]
 
     # -- Bruhat order ------------------------------------------------------
 
@@ -383,16 +369,19 @@ class CoxeterSystem:
             raise ValueError(f"generator indices {sorted(bad)} outside 1..{self.rank}")
         return J
 
-    def in_parabolic(self, w: Element, J: frozenset[int]) -> bool:
-        # the letters of any reduced word of w are an invariant of w
-        return set(self._word[w]) <= J
+    def in_parabolic(self, w: Element, J: Iterable[int]) -> bool:
+        """w in W_J, that is, the W^J part of w is the identity."""
+        return self.coset_index(J)[0][self._index[w]][0] == 0
 
     def coset_index(self, J: Iterable[int]) -> tuple[list[tuple[int, int]], dict[int, dict[int, int]]]:
         """w = u*v (u in W^J, v in W_J, lengths adding) on indices: split[k] = (u, v)
         and join[u][v] = k.  join's keys come in canonical order: list(join) is W^J
-        and list(join[0]) is W_J.  Built once per J; read-only."""
-        J = self.subset(J)
-        got = self._coset_indices.get(J)
+        and list(join[0]) is W_J.  Read-only; J is validated unless it is a cached
+        frozenset, and the table is built once per J."""
+        got = self._coset_indices.get(J) if isinstance(J, frozenset) else None
+        if got is None:
+            J = self.subset(J)
+            got = self._coset_indices.get(J)
         if got is None:
             # canonical order puts w*s (s a right descent) before w, and if
             # w*s = u*v' then w = u*(v's); u itself is first reached at k = u

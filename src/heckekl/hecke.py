@@ -51,7 +51,7 @@ from typing import Iterable, Mapping
 from weakref import WeakKeyDictionary
 
 from .coxeter import CoxeterSystem, Element
-from .laurent import ExactnessError, LaurentPoly, ONE, ZERO, decoder, pack, unpack, width
+from .laurent import ExactnessError, LaurentPoly, ONE, ZERO, pack, unpack, width
 
 
 class MixedSystemError(ValueError):
@@ -222,8 +222,8 @@ class HeckeElement:
     def restrict(self, J: Iterable[int]) -> "HeckeElement":
         """Projection to the parabolic subalgebra H_J: keep terms with w in W_J."""
         sys = self.system
-        J = sys.subset(J)
-        return HeckeElement(sys, {w: c for w, c in self.terms.items() if sys.in_parabolic(w, J)})
+        split, index = sys.coset_index(J)[0], sys.index
+        return HeckeElement(sys, {w: c for w, c in self.terms.items() if split[index(w)][0] == 0})
 
 
 # ---------------------------------------------------------------------------
@@ -266,10 +266,7 @@ def form(a: HeckeElement, b: HeckeElement) -> LaurentPoly:
     total = 0
     for y, c in a.terms.items():
         r = row(index(y))
-        if len(bd) < len(r):
-            s = sum(r.get(x, 0) * d for x, d in bd.items())
-        else:
-            s = sum(t * bd[x] for x, t in r.items() if x in bd)
+        s = sum(r.get(x, 0) * d for x, d in bd.items())
         if s:
             total += pack(c.bar(), K, off_a) * s
     return unpack(total, K, off_a + off_b + length(sys.longest_element()))
@@ -293,8 +290,9 @@ def _check_exact(low: int, K: int):
 
 
 def _unpack_terms(system: CoxeterSystem, packed: dict[int, int], K: int, off: int) -> HeckeElement:
-    els, decode = system.elements(), decoder(K, off)  # equal coefficients decode once
-    return HeckeElement(system, {els[i]: decode(P) for i, P in packed.items() if P})
+    els = system.elements()
+    poly = {P: unpack(P, K, off) for P in set(packed.values())}  # equal coefficients decode once
+    return HeckeElement(system, {els[i]: poly[P] for i, P in packed.items() if P})
 
 
 _BAR_ROWS: "WeakKeyDictionary[CoxeterSystem, tuple[int, list]]" = WeakKeyDictionary()

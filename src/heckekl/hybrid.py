@@ -75,11 +75,10 @@ class HybridBasisSpec:
 def hybrid_element(cache: KLCache, spec: HybridBasisSpec, w: Element) -> HeckeElement:
     """The basis element TC^J_w (or CT^J_w) in the standard basis."""
     sys = cache.system
-    J = sys.subset(spec.J)
     if spec.orientation == "TC":
-        u, v = sys.parabolic_factorize_left(w, J)
+        u, v = sys.parabolic_factorize_left(w, spec.J)
         return t_basis(sys, u) * cache.kl_element(v)
-    v, u = sys.parabolic_factorize_right(w, J)
+    v, u = sys.parabolic_factorize_right(w, spec.J)
     return cache.kl_element(v) * t_basis(sys, u)
 
 
@@ -283,20 +282,13 @@ class TransitionMatrix:
         """Sparse [row, column, poly] entries by column.  Entries holding one
         polynomial object share one JSON dict, so treat the result as read-only."""
         sys = self.system
-        idx = {w: k for k, w in enumerate(self.order)}
-        encode = json_encoder()
-        entries = []
-        for w, col in self.columns.items():
-            ci = idx[w]
-            for x, p in col.items():
-                entries.append([idx[x], ci, encode(p)])
-        entries.sort(key=lambda t: (t[1], t[0]))
+        cells = ((x, w, p) for w, col in self.columns.items() for x, p in col.items())
         return {
             "type": sys.type_string,
             "I": sorted(self.I),
             "J": sorted(self.J),
             "order": [list(sys.word(w)) for w in self.order],
-            "entries": entries,
+            "entries": sparse_entries(self.order, cells),
         }
 
     def to_csv(self) -> str:
@@ -308,6 +300,15 @@ class TransitionMatrix:
             [format_word(sys.word(x)) for x in self.order],
             ([str(col.get(x, ZERO)) for col in cols] for x in self.order),
         )
+
+
+def sparse_entries(order: Iterable, cells: Iterable[tuple]) -> list[list]:
+    """[row, column, poly JSON] for each (row key, column key, poly) of cells, keys
+    numbered by their place in order, sorted by column, then row.  Entries holding
+    one polynomial object share one JSON dict, so treat the result as read-only."""
+    idx = {w: k for k, w in enumerate(order)}
+    encode = json_encoder()
+    return sorted(([idx[x], idx[w], encode(p)] for x, w, p in cells), key=lambda t: (t[1], t[0]))
 
 
 def _csv_quote(cell: str) -> str:
@@ -446,7 +447,6 @@ def parabolic_kl(cache: KLCache, J: Iterable[int]) -> dict[tuple[Element, Elemen
     matrix over W^J x W^J: entry (u, u') is the identity-component
     restriction coefficient of C_{u'} at u.  Zeros omitted."""
     sys = cache.system
-    J = sys.subset(J)
     split, join = sys.coset_index(J)
     els = sys.elements()
 

@@ -229,7 +229,7 @@ def unpack(P: int, K: int, off: int) -> LaurentPoly:
 
 def decoder(K: int, off: int) -> Callable[[int], LaurentPoly]:
     """unpack at (K, off), each distinct packed value decoded once, to one object.
-    A lambda: functools.cache wraps a partial at twice the cost, once per product."""
+    A lambda: functools.cache wraps a partial at twice the set-up cost."""
     return cache(lambda P: unpack(P, K, off))
 
 

@@ -49,11 +49,12 @@ def sign_project(h: HeckeElement, J: Iterable[int]) -> SignModuleElement:
     """
     sys = h.system
     J = sys.subset(J)
+    split, index, els = sys.coset_index(J)[0], sys.index, sys.elements()
     out: dict[Element, LaurentPoly] = {}
     for w, c in h.terms.items():
-        u, v = sys.parabolic_factorize_left(w, J)
-        lv = sys.length(v)
-        _add(out, u, c * LaurentPoly.q_power(lv, (-1) ** lv))
+        u, v = split[index(w)]
+        lv = sys.length(els[v])
+        _add(out, els[u], c * LaurentPoly.q_power(lv, (-1) ** lv))
     return SignModuleElement(sys, J, out)
 
 
