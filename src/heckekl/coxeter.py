@@ -314,10 +314,14 @@ class CoxeterSystem:
 
     def apply_right(self, w: Element, i: int) -> Element:
         """w * s_i."""
+        if not isinstance(i, int) or not 1 <= i <= self.rank:
+            raise ValueError(f"invalid generator index {i!r} (rank {self.rank})")
         return self._elements[self.right_index[i - 1][self._index[w]]]
 
     def apply_left(self, i: int, w: Element) -> Element:
         """s_i * w."""
+        if not isinstance(i, int) or not 1 <= i <= self.rank:
+            raise ValueError(f"invalid generator index {i!r} (rank {self.rank})")
         return self._elements[self.left_index[i - 1][self._index[w]]]
 
     def right_descents(self, w: Element) -> frozenset[int]:

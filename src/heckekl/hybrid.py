@@ -32,7 +32,7 @@ from laurent.width applied to a bound on the L1 norms:
 
 * back-substitution (expand_in_hybrid, restriction_coeffs, parabolic_kl,
   the block of transition_matrix) reads the KL columns the KL kernel
-  packed (KLCache._packed_column, so a first read still goes through
+  packed (KLCache._packed_column, so every read goes through
   kl_column).  Inputs read from KL columns are in Z[q], offset 0;
   expand_in_hybrid packs the coefficients of a Hecke element with the
   offset that lifts its lowest exponent to 0.  Next to each work value runs
@@ -56,7 +56,7 @@ from typing import Iterable, Mapping
 from .coxeter import CoxeterSystem, Element, format_word
 from .hecke import HeckeElement, t_basis
 from .klbasis import _DIGIT as _KL_WIDTH, KLCache
-from .laurent import ExactnessError, LaurentPoly, ZERO, decoder, json_encoder, pack, width
+from .laurent import ExactnessError, LaurentPoly, ZERO, decoder, pack, width
 
 
 @dataclass(frozen=True)
@@ -149,7 +149,7 @@ class _Solver:
     """Back-substitution against the KL columns packed at digit width K.
 
     At the KL kernel's own width the columns are KLCache._packed_column
-    (which reads a column through kl_column the first time); at a wider K
+    (which reads every column through kl_column); at a wider K
     they are repacked for this call only.  worst is the largest L1 bound of
     any value popped so far.
     """
@@ -305,9 +305,18 @@ class TransitionMatrix:
 def sparse_entries(order: Iterable, cells: Iterable[tuple]) -> list[list]:
     """[row, column, poly JSON] for each (row key, column key, poly) of cells, keys
     numbered by their place in order, sorted by column, then row.  Entries holding
-    one polynomial object share one JSON dict, so treat the result as read-only."""
+    one polynomial object share one JSON dict, so treat the result as read-only.
+    Each object is encoded once, keyed by id(p): every poly in cells must stay
+    alive during the call."""
     idx = {w: k for k, w in enumerate(order)}
-    encode = json_encoder()
+    memo: dict[int, dict] = {}
+
+    def encode(p: LaurentPoly) -> dict:
+        obj = memo.get(id(p))
+        if obj is None:
+            obj = memo[id(p)] = p.to_json_obj()
+        return obj
+
     return sorted(([idx[x], idx[w], encode(p)] for x, w, p in cells), key=lambda t: (t[1], t[0]))
 
 

@@ -25,9 +25,11 @@ coefficient of C_v C_s at y is h_{ys,v} + (h_{y,v} >> 64 if ys < y, else
 h_{y,v} << 64); mu is digit 1.  A guard raises ExactnessError naming the
 column unless its diagonal is 1, each >> 64 was exact, (2 + sum of mu) *
 (largest coefficient so far) < 2^62 (so decoding is unique) and all entries
-are >= 0 with digits < 2^62; loaded columns pass it when first read.  Equal
-entries are one int (one setdefault table), and kl_column hands out read-only
-Mapping views of the packed columns that decode through one intern table.
+are >= 0 with digits < 2^62; loaded columns pass it when first read.  Each
+column is one packed dict {index: int}, its only copy: compute, read, load
+and save all use it, and kl_column hands out a read-only Mapping view of it
+that decodes through one intern table.  Equal entries are one int (one
+setdefault table).
 
 Also here: the Bruhat-interval element sum_{y <= w} q^{l(w)-l(y)} T_y, which
 coincides with C_w exactly for rationally smooth w (in type A: for the
@@ -48,7 +50,7 @@ from typing import Iterable
 
 from .coxeter import CoxeterSystem, Element, UnsupportedGroupError, format_word, parse_word
 from .hecke import HeckeElement
-from .laurent import ExactnessError, LaurentPoly, ONE, Q, QINV, ZERO, decoder, json_encoder, pack
+from .laurent import ExactnessError, LaurentPoly, ONE, Q, QINV, ZERO, decoder, pack
 
 _CACHE_FORMAT = 1
 
@@ -88,16 +90,15 @@ class _Column(Mapping):
 
 
 class KLCache:
-    """Per-system store of KL columns h_{.,w}, filled on demand: one packed dict per
-    column, and read-only views of them in ``_columns`` (see load for the exception)."""
+    """Per-system store of KL columns h_{.,w}, filled on demand: one packed dict
+    per column, the only copy of it, behind its read-only view in ``_columns``."""
 
     def __init__(self, system: CoxeterSystem):
         self.system = system
-        self._columns: dict[Element, Mapping[Element, LaurentPoly]] = {}
+        self._columns: dict[Element, _Column] = {}
         self.computed = 0  # columns computed here rather than loaded
-        self._packed: list[dict[int, int] | None] = [None] * system.order  # set on first _packed_column
         self._ints: dict[int, int] = {}  # intern table: equal packed entries share one int
-        self._unguarded: dict[int, dict[int, int] | None] = {}  # loaded, not read yet; None: not packable
+        self._unguarded: set[int] = set()  # loaded, not read yet
         self._top = 1  # largest coefficient in any packed column so far
         self._polys = decoder(_DIGIT, 0)  # intern table: h -> its one LaurentPoly
         self._l1: dict[int, int] = {}  # see _column_l1
@@ -108,26 +109,19 @@ class KLCache:
         """The read-only map x -> h_{x,w}; absent keys are zero."""
         col = self._columns.get(w)
         if col is None:
-            i = self.system.index(w)
-            packed = self._packed[i] = self._compute(i)
+            col = self._columns[w] = _Column(self, self._compute(self.system.index(w)))
             self.computed += 1
-            col = self._columns[w] = _Column(self, packed)
         elif self._unguarded and (i := self.system.index(w)) in self._unguarded:
-            packed = self._unguarded[i]  # loaded: guarded on its first read
-            if packed is None:
+            if None in col._packed.values():  # loaded: guarded on its first read
                 self._fail(i, "a loaded entry is not in Z[q] with coefficients in [0, 2^62)")
-            self._guard(i, packed)
-            del self._unguarded[i]
+            self._guard(i, col._packed)
+            self._unguarded.remove(i)
         return col
 
     def _packed_column(self, i: int) -> dict[int, int]:
-        """Packed column i.  Read through kl_column the first time, even when
-        loaded, so a missing column shows up as extra kl_column calls."""
-        if self._packed[i] is None:
-            col = self.kl_column(self.system.elements()[i])
-            if self._packed[i] is None:  # loaded: the view's own dict
-                self._packed[i] = col._packed
-        return self._packed[i]
+        """Packed column i, read through kl_column, so a missing column shows
+        up as extra kl_column calls."""
+        return self.kl_column(self.system.elements()[i])._packed
 
     def _column_l1(self, i: int) -> int:
         """The largest L1 norm of an entry of column i (the hybrid layer's width bound)."""
@@ -215,20 +209,21 @@ class KLCache:
 
     def save(self, path):
         """Dump all cached columns as gzipped JSON keyed by canonical words,
-        atomically (os.replace of a file written in the same directory)."""
-        sys = self.system
-        encode = json_encoder()
+        atomically (os.replace of a file written in the same directory).  A
+        loaded column that did not pack is left out: the next run recomputes it."""
+        sys, index = self.system, self.system._index
+        words = [format_word(sys.word(w)) for w in sys.elements()]
+        stored = sorted(  # index order is canonical order
+            (index[w], col._packed)
+            for w, col in self._columns.items()
+            if index[w] not in self._unguarded or None not in col._packed.values()
+        )
+        entries = set(chain.from_iterable(c.values() for _, c in stored))
+        encoded = {h: self._polys(h).to_json_obj() for h in entries}  # each distinct entry once
         obj = {
             "format": _CACHE_FORMAT,
             "group": sys.type_string,
-            "columns": {
-                format_word(sys.word(w)): {
-                    format_word(sys.word(x)): encode(p) for x, p in sorted(
-                        col.items(), key=lambda xc: sys.sort_key(xc[0])
-                    )
-                }
-                for w, col in sorted(self._columns.items(), key=lambda wc: sys.sort_key(wc[0]))
-            },
+            "columns": {words[i]: {words[x]: encoded[h] for x, h in sorted(c.items())} for i, c in stored},
         }
         # write a file beside path, then move it into place: a failed save
         # leaves any previous file as it was
@@ -279,11 +274,8 @@ class KLCache:
             if not {*map(type, polys)} <= {dict} or not {*map(type, coeffs)} <= {int, str}:
                 raise ValueError(f"cache column {wtext!r}: an entry is not an object of ints or decimal strings")
             i = index(wtext)
-            column = out._unguarded[i] = {index(xtext): packed(p) for xtext, p in col.items()}
-            out._columns[els[i]] = _Column(out, column)
-            if None in column.values():  # kept decoded, so save writes it back; kl_column fails on it
-                out._columns[els[i]] = {els[index(x)]: LaurentPoly.from_json_obj(p) for x, p in col.items()}
-                out._unguarded[i] = None
+            out._columns[els[i]] = _Column(out, {index(xtext): packed(p) for xtext, p in col.items()})
+            out._unguarded.add(i)
         return out
 
 

@@ -180,21 +180,6 @@ class LaurentPoly:
 _JSON_EXACT = 1 << 53
 
 
-def json_encoder() -> Callable[[LaurentPoly], dict[str, int | str]]:
-    """p -> p.to_json_obj(), run once per distinct polynomial object: equal KL
-    entries are mostly one shared object.  Keyed by id(p), so every polynomial
-    passed must stay alive while the encoder is in use."""
-    memo: dict[int, dict[str, int | str]] = {}
-
-    def encode(p: LaurentPoly) -> dict[str, int | str]:
-        obj = memo.get(id(p))
-        if obj is None:
-            obj = memo[id(p)] = p.to_json_obj()
-        return obj
-
-    return encode
-
-
 class ExactnessError(RuntimeError):
     """A packed computation could not be decoded exactly (a division by q
     left a remainder, or a coefficient could outgrow its digit)."""

@@ -259,7 +259,6 @@ def interval_restriction_formula(
     out: dict[Element, LaurentPoly] = {}
     for g in maximal:
         scale = LaurentPoly.q_power(shift - system.length(g))
-        for y, c in bruhat_interval_element(system, g).terms.items():
-            if system.in_parabolic(y, J):
-                _add(out, y, scale * c)
+        for y, c in bruhat_interval_element(system, g).terms.items():  # [e, g] lies in W_J
+            _add(out, y, scale * c)
     return HeckeElement(system, out)

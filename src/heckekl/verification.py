@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import reduce
 
 from .coxeter import CoxeterSystem
 from .hecke import HeckeElement, form, t_basis, unit
@@ -77,10 +78,6 @@ def _subsets(system):
     for g in gens:
         out += [s | {g} for s in out]
     return sorted(out, key=lambda s: (len(s), sorted(s)))
-
-
-def _fail_detail(pairs) -> str:
-    return "; ".join(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +171,7 @@ def check_kl_positive(cache, rng) -> CheckResult:
             ):
                 bad.append(f"h at {sys.word(x)},{sys.word(w)}")
     return CheckResult(
-        "kl_nonneg_in_degree_window", not bad, f"{len(ws)} columns" if not bad else _fail_detail(bad[:3])
+        "kl_nonneg_in_degree_window", not bad, f"{len(ws)} columns" if not bad else "; ".join(bad[:3])
     )
 
 
@@ -192,7 +189,7 @@ def check_restriction_positive(cache, rng) -> CheckResult:
     return CheckResult(
         "restriction_coeffs_nonneg",
         not bad,
-        f"{len(ws)} columns x {2 ** sys.rank} subsets" if not bad else _fail_detail(bad[:3]),
+        f"{len(ws)} columns x {2 ** sys.rank} subsets" if not bad else "; ".join(bad[:3]),
     )
 
 
@@ -214,10 +211,8 @@ def check_transition_positive(cache, rng) -> CheckResult:
 
 def check_factorization(cache, rng) -> CheckResult:
     factors = factorize_chain(cache)
-    prod = factors[0]
-    for m in factors[1:]:
-        prod = matmul(prod, m)
-    ok = prod.same_entries(kl_matrix(cache)) and all(f.is_nonneg_poly_matrix() for f in factors)
+    exact = reduce(matmul, factors).same_entries(kl_matrix(cache))
+    ok = exact and all(f.is_nonneg_poly_matrix() for f in factors)
     return CheckResult(
         "chain_factorization_exact", ok, f"{len(factors)} singleton-step factors multiply to the KL matrix"
     )
@@ -236,7 +231,7 @@ def check_product_expansion_positive(cache, rng) -> CheckResult:
         if not all(p.has_nonneg_coeffs() for p in expand_in_hybrid(cache, prod, spec).values()):
             bad.append(f"J={sorted(J)} w={sys.word(w)} u={sys.word(u)}")
     return CheckResult(
-        "kl_times_hybrid_nonneg", not bad, "30 random triples" if not bad else _fail_detail(bad[:3])
+        "kl_times_hybrid_nonneg", not bad, "30 random triples" if not bad else "; ".join(bad[:3])
     )
 
 
@@ -280,7 +275,7 @@ def check_dihedral_formula(cache, rng) -> CheckResult:
             if oracles.dihedral_restriction_formula(sys, u, w) != restriction_coeffs(cache, u, w, {1}):
                 bad.append(f"u={sys.word(u)} w={sys.word(w)}")
     return CheckResult(
-        "dihedral_closed_form", not bad, "all (u, w), J={1}" if not bad else _fail_detail(bad[:3])
+        "dihedral_closed_form", not bad, "all (u, w), J={1}" if not bad else "; ".join(bad[:3])
     )
 
 
@@ -306,7 +301,7 @@ def check_type_a_formulas(cache, rng) -> CheckResult:
                 if i <= n - 2 and not oracles.shifted_translation_identity_holds(cache, i, y, x):
                     bad.append(f"shifted i={i}")
     return CheckResult(
-        "type_a_closed_forms", not bad, "restriction + translation identities" if not bad else _fail_detail(bad[:3])
+        "type_a_closed_forms", not bad, "restriction + translation identities" if not bad else "; ".join(bad[:3])
     )
 
 
@@ -323,7 +318,7 @@ def check_interval_restriction(cache, rng) -> CheckResult:
                 if oracles.interval_restriction_formula(sys, u, w, J) != direct:
                     bad.append(f"J={{{s}}} u={sys.word(u)} w={sys.word(w)}")
     return CheckResult(
-        "interval_restriction_formula", not bad, "singleton J, sampled (u,w)" if not bad else _fail_detail(bad[:3])
+        "interval_restriction_formula", not bad, "singleton J, sampled (u,w)" if not bad else "; ".join(bad[:3])
     )
 
 
@@ -362,7 +357,7 @@ def check_coset_orthogonality(cache, rng) -> CheckResult:
                 want = one if u == u2 else HeckeElement(sys, {})
                 if got != want:
                     bad.append(f"J={sorted(J)}")
-    return CheckResult("coset_orthogonality", not bad, "(T_u^-1 T_u')|_J = delta" if not bad else _fail_detail(bad[:3]))
+    return CheckResult("coset_orthogonality", not bad, "(T_u^-1 T_u')|_J = delta" if not bad else "; ".join(bad[:3]))
 
 
 def check_t_shift_of_hybrid(cache, rng) -> CheckResult:
@@ -382,7 +377,7 @@ def check_t_shift_of_hybrid(cache, rng) -> CheckResult:
                     lhs = t_basis(sys, u) * hybrid_element(cache, spec, z)
                     if lhs != hybrid_element(cache, spec, sys.multiply(u, z)):
                         bad.append(f"I={sorted(I)} J={sorted(J)}")
-    return CheckResult("t_shift_of_hybrid_basis", not bad, "sampled (I,J,u,z)" if not bad else _fail_detail(bad[:3]))
+    return CheckResult("t_shift_of_hybrid_basis", not bad, "sampled (I,J,u,z)" if not bad else "; ".join(bad[:3]))
 
 
 def check_vanishing_and_support(cache, rng) -> CheckResult:
@@ -407,7 +402,7 @@ def check_vanishing_and_support(cache, rng) -> CheckResult:
                     if not sys.bruhat_leq(sys.multiply(u, v), w) and not c.is_zero():
                         bad.append(f"support-uv J={sorted(J)}")
     return CheckResult(
-        "restriction_vanishing_and_support", not bad, "descent vanishing + Bruhat support" if not bad else _fail_detail(bad[:3])
+        "restriction_vanishing_and_support", not bad, "descent vanishing + Bruhat support" if not bad else "; ".join(bad[:3])
     )
 
 
@@ -420,7 +415,7 @@ def check_psi_transport(cache, rng) -> CheckResult:
             ct = hybrid_element(cache, HybridBasisSpec(J, "CT"), sys.inverse(w))
             if tc.psi() != ct:
                 bad.append(f"J={sorted(J)} w={sys.word(w)}")
-    return CheckResult("psi_transport_tc_to_ct", not bad, "psi(TC^J_w) = CT^J_(w^-1)" if not bad else _fail_detail(bad[:3]))
+    return CheckResult("psi_transport_tc_to_ct", not bad, "psi(TC^J_w) = CT^J_(w^-1)" if not bad else "; ".join(bad[:3]))
 
 
 def check_hybrid_unitriangular(cache, rng) -> CheckResult:
@@ -435,7 +430,7 @@ def check_hybrid_unitriangular(cache, rng) -> CheckResult:
             if el.terms != expect or el.coeff(w) != ONE:
                 bad.append(f"J={sorted(J)} w={sys.word(w)}")
     return CheckResult(
-        "hybrid_unitriangular_support", not bad, "TC^J_w = T_w + lower h-terms" if not bad else _fail_detail(bad[:3])
+        "hybrid_unitriangular_support", not bad, "TC^J_w = T_w + lower h-terms" if not bad else "; ".join(bad[:3])
     )
 
 
@@ -450,7 +445,7 @@ def check_sign_module_map(cache, rng) -> CheckResult:
             rhs = oracles.sign_action_gen(s, oracles.sign_project(h, J))
             if lhs != rhs:
                 bad.append(f"J={sorted(J)} s={s}")
-    return CheckResult("sign_projection_is_module_map", not bad, "T_s action commutes with projection" if not bad else _fail_detail(bad[:3]))
+    return CheckResult("sign_projection_is_module_map", not bad, "T_s action commutes with projection" if not bad else "; ".join(bad[:3]))
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,13 @@ before, and every stored column is a view of its packed dict."""
 
 import gzip
 import hashlib
+import json
 
 import pytest
 
 from heckekl import KLCache, coxeter_system
+from heckekl.klbasis import _Column
+from heckekl.laurent import ExactnessError
 
 # sha256 of the decompressed save output
 SAVED = [
@@ -31,3 +34,44 @@ def test_save_output_is_pinned(tmp_path, group, columns, digest):
     for w in s.elements()[:columns]:
         cache.kl_column(w)
     assert hashlib.sha256(_saved_bytes(cache, tmp_path / "c.klcache.gz")).hexdigest() == digest
+
+
+def _damaged_a2_file(tmp_path):
+    """An A2 cache file whose column 1 holds h_{e,1} = q^-1, which does not pack."""
+    s = coxeter_system("A2")
+    cache = KLCache(s)
+    cache.kl_column(s.generator(1))
+    path = tmp_path / "a2.klcache.gz"
+    cache.save(path)
+    with gzip.open(path, "rt", encoding="utf-8") as fh:
+        obj = json.load(fh)
+    obj["columns"]["1"][""] = {"-1": 1}
+    with gzip.open(path, "wt", encoding="utf-8") as fh:
+        json.dump(obj, fh)
+    return path
+
+
+def test_every_stored_column_is_a_view_of_its_packed_dict(tmp_path):
+    s = coxeter_system("B3")
+    full = KLCache(s)
+    full.fill()
+    path = tmp_path / "b3.klcache.gz"
+    full.save(path)
+    damaged = KLCache.load(_damaged_a2_file(tmp_path), coxeter_system("A2"))
+    for cache in (full, KLCache.load(path, s), damaged):
+        assert cache._columns and all(type(col) is _Column for col in cache._columns.values())
+
+
+def test_a_column_that_did_not_pack_is_not_written_back(tmp_path):
+    s = coxeter_system("A2")
+    loaded = KLCache.load(_damaged_a2_file(tmp_path), s)
+    with pytest.raises(ExactnessError, match=r"KL column 1: .*not in Z\[q\]"):
+        loaded.kl_column(s.generator(1))
+    loaded.kl_column(s.element_from_word([2, 1]))  # reads columns e and 2 only
+    path = tmp_path / "resaved.klcache.gz"
+    loaded.save(path)
+    with gzip.open(path, "rt", encoding="utf-8") as fh:
+        assert sorted(json.load(fh)["columns"]) == ["", "2", "2,1"]
+    reloaded = KLCache.load(path, s)
+    assert reloaded.kl_column(s.generator(1)) == KLCache(s).kl_column(s.generator(1))
+    assert reloaded.computed == 1

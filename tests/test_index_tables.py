@@ -121,3 +121,16 @@ def test_subset_runs_once_per_new_frozenset_j(monkeypatch):
     s.in_parabolic(w, J)
     HeckeElement(s, {w: LaurentPoly(1)}).restrict(J)
     assert seen == [J]
+
+
+@pytest.mark.parametrize("group", ["A3", "I2(7)"])
+def test_apply_rejects_a_generator_index_out_of_range(group):
+    # index 0 or -1 would wrap to the last table, rank + 1 would run past it
+    s = coxeter_system(group)
+    e = s.identity
+    for i in (0, -1, s.rank + 1):
+        message = rf"invalid generator index {i} \(rank {s.rank}\)"
+        with pytest.raises(ValueError, match=message):
+            s.apply_right(e, i)
+        with pytest.raises(ValueError, match=message):
+            s.apply_left(i, e)
