@@ -98,7 +98,7 @@ class KLCache:
         self._columns: dict[Element, _Column] = {}
         self.computed = 0  # columns computed here rather than loaded
         self._ints: dict[int, int] = {}  # intern table: equal packed entries share one int
-        self._unguarded: set[int] = set()  # loaded, not read yet
+        self._unguarded: set[int] = set()  # loaded, not read yet: guarded on first read
         self._top = 1  # largest coefficient in any packed column so far
         self._polys = decoder(_DIGIT, 0)  # intern table: h -> its one LaurentPoly
         self._l1: dict[int, int] = {}  # see _column_l1
@@ -112,7 +112,7 @@ class KLCache:
             col = self._columns[w] = _Column(self, self._compute(self.system.index(w)))
             self.computed += 1
         elif self._unguarded and (i := self.system.index(w)) in self._unguarded:
-            if None in col._packed.values():  # loaded: guarded on its first read
+            if None in col._packed.values():  # load could not pack an entry
                 self._fail(i, "a loaded entry is not in Z[q] with coefficients in [0, 2^62)")
             self._guard(i, col._packed)
             self._unguarded.remove(i)
