@@ -28,6 +28,8 @@ import json
 import sys
 import zlib
 from functools import reduce
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 
 from .coxeter import coxeter_system, format_word, parse_word
@@ -75,7 +77,44 @@ def _emit(args, text: str) -> None:
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """json.dumps(obj, indent=2) + newline, byte for byte, for a tree (no
+    cycles), with C-level passes for int lists and lists of [int, int, x]
+    entries.  Each list and str-keyed dict is rendered once per depth, so a
+    polynomial dict shared by many entries costs one rendering; other values
+    go through json.dumps itself."""
+    memo: dict[tuple[int, int], str] = {}  # (id, depth) -> text; obj keeps every id alive
+
+    def enc(o, depth: int) -> str:
+        t = type(o)
+        if t is str:
+            return encode_basestring_ascii(o)
+        if t is int:
+            return int.__repr__(o)
+        if (t is not list and t is not tuple and (t is not dict or not {*map(type, o)} <= {str})) or not o:
+            return json.dumps(o, indent=2).replace("\n", "\n" + "  " * depth)
+        key = (id(o), depth)
+        if key not in memo:
+            memo[key] = container(o, depth)
+        return memo[key]
+
+    def container(o, depth: int) -> str:
+        ind, close = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+        if type(o) is dict:
+            return "{" + ind + ("," + ind).join(f"{enc(k, 0)}: {enc(v, depth + 1)}" for k, v in o.items()) + close + "}"
+        types = {*map(type, o)}
+        if types == {int}:
+            return "[" + ind + ("," + ind).join(map(int.__repr__, o)) + close + "]"
+        if types == {list} and {*map(len, o)} == {3}:
+            r, c, x = ([*map(itemgetter(k), o)] for k in range(3))
+            if {*map(type, r + c)} == {int}:  # [int, int, x] entries, each x object rendered once
+                sub = "\n" + "  " * (depth + 2)
+                text = {k: enc(p, depth + 2) for k, p in dict(zip(map(id, x), x)).items()}
+                cells = zip(map(int.__repr__, r), map(int.__repr__, c), map(text.__getitem__, map(id, x)))
+                head, tail = "[" + sub, ind + "]"
+                return "[" + ind + head + (tail + "," + ind + head).join(map(("," + sub).join, cells)) + tail + close + "]"
+        return "[" + ind + ("," + ind).join(enc(x, depth + 1) for x in o) + close + "]"
+
+    return enc(obj, 0) + "\n"
 
 
 def _cache_path(args, system) -> Path | None:
@@ -192,11 +231,12 @@ def cmd_parabolic(args) -> tuple[int, str]:
     P = parabolic_kl(args.cache, J)
     reps = sys_.min_coset_reps(J, "left")
     order = [_word(sys_, u) for u in reps]
+    cols = {u2: {} for u2 in reps}
+    for (u, u2), p in P.items():
+        cols[u2][u] = p
     if args.format == "csv":
-        cells = ([str(P.get((u, u2), ZERO)) for u2 in reps] for u in reps)
-        return 0, csv_grid("u\\u'", order, cells)
-    entries = sparse_entries(reps, ((u, u2, p) for (u, u2), p in P.items()))
-    obj = {"group": sys_.type_string, "J": sorted(J), "order": order, "entries": entries}
+        return 0, csv_grid("u\\u'", order, reps, cols.values())
+    obj = {"group": sys_.type_string, "J": sorted(J), "order": order, "entries": sparse_entries(reps, cols.items())}
     return 0, _json_text(obj)
 
 

@@ -26,9 +26,11 @@ entries in Z_{>=0}[q]; multiplying the factors back together is the main
 end-to-end identity the test suite checks.
 
 The arithmetic runs on packed ints (laurent.pack: a coefficient p becomes
-(q^off p)(2^K)) keyed by element index, and decodes to LaurentPoly only on
-the way out, each distinct value once.  The digit width K always comes
-from laurent.width applied to a bound on the L1 norms:
+(q^off p)(2^K)) keyed by element index.  Matrices stay packed: the columns of
+transition_matrix and matmul are views (klbasis._Column) that decode each
+distinct value once, and matmul and same_entries read their packed dicts.
+The digit width K always comes from laurent.width applied to a bound on the
+L1 norms:
 
 * back-substitution (expand_in_hybrid, restriction_coeffs, parabolic_kl,
   the block of transition_matrix) reads the KL columns the KL kernel
@@ -43,7 +45,7 @@ from laurent.width applied to a bound on the L1 norms:
   ExactnessError if that width is no wider.
 * matmul takes K from the a-priori bound (largest |a_xy|_1) * (largest
   column sum of |b_yw|_1) on every entry of the product, and raises
-  ExactnessError if the bound does not fit.
+  ExactnessError if the bound does not fit; the product is packed at K.
 """
 
 from __future__ import annotations
@@ -51,11 +53,12 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
+from itertools import repeat
 from typing import Iterable, Mapping
 
 from .coxeter import CoxeterSystem, Element, format_word
 from .hecke import HeckeElement, t_basis
-from .klbasis import _DIGIT as _KL_WIDTH, KLCache
+from .klbasis import _DIGIT as _KL_WIDTH, KLCache, _Column
 from .laurent import ExactnessError, LaurentPoly, ZERO, decoder, pack, width
 
 
@@ -255,7 +258,8 @@ class TransitionMatrix:
 
     columns maps w to a sparse read-only {x: poly} Mapping; entries are
     unitriangular in Bruhat order and vanish across distinct W^J-cosets.
-    kl_matrix's columns are the KLCache's views, over one intern table.
+    kl_matrix's columns are the KLCache's views, over one intern table;
+    transition_matrix and matmul give views too, one decoder per matrix.
     """
 
     system: CoxeterSystem
@@ -268,56 +272,44 @@ class TransitionMatrix:
         return self.columns[w].get(x, ZERO)
 
     def same_entries(self, other: "TransitionMatrix") -> bool:
+        """Equal order and entries; two views at one (K, off) compare packed (_Column.__eq__)."""
         return self.order == other.order and self.columns == other.columns
 
     def is_nonneg_poly_matrix(self) -> bool:
         """True when every entry lies in Z_{>=0}[q]."""
-        return all(
-            p.has_nonneg_coeffs() and p.is_poly_in_q()
-            for col in self.columns.values()
-            for p in col.values()
-        )
+        return all(p.has_nonneg_coeffs() and p.is_poly_in_q() for p in _distinct(self).values())
 
     def to_json_obj(self) -> dict:
         """Sparse [row, column, poly] entries by column.  Entries holding one
         polynomial object share one JSON dict, so treat the result as read-only."""
         sys = self.system
-        cells = ((x, w, p) for w, col in self.columns.items() for x, p in col.items())
         return {
             "type": sys.type_string,
             "I": sorted(self.I),
             "J": sorted(self.J),
             "order": [list(sys.word(w)) for w in self.order],
-            "entries": sparse_entries(self.order, cells),
+            "entries": sparse_entries(self.order, self.columns.items()),
         }
 
     def to_csv(self) -> str:
         """Dense grid, header row/column of canonical words, textual cells."""
         sys = self.system
-        cols = [self.columns[w] for w in self.order]
-        return csv_grid(
-            "x\\w",
-            [format_word(sys.word(x)) for x in self.order],
-            ([str(col.get(x, ZERO)) for col in cols] for x in self.order),
-        )
+        labels = [format_word(sys.word(x)) for x in self.order]
+        return csv_grid("x\\w", labels, self.order, (self.columns[w] for w in self.order))
 
 
-def sparse_entries(order: Iterable, cells: Iterable[tuple]) -> list[list]:
-    """[row, column, poly JSON] for each (row key, column key, poly) of cells, keys
-    numbered by their place in order, sorted by column, then row.  Entries holding
-    one polynomial object share one JSON dict, so treat the result as read-only.
-    Each object is encoded once, keyed by id(p): every poly in cells must stay
-    alive during the call."""
+def sparse_entries(order: Iterable, columns: Iterable[tuple]) -> list[list]:
+    """[row, column, poly JSON] for each entry of columns, (column key, {row key:
+    poly}) pairs, keys numbered by their place in order, sorted by column, then
+    row.  Entries holding one polynomial object share one JSON dict, so treat the
+    result as read-only; each object is encoded once."""
     idx = {w: k for k, w in enumerate(order)}
-    memo: dict[int, dict] = {}
-
-    def encode(p: LaurentPoly) -> dict:
-        obj = memo.get(id(p))
-        if obj is None:
-            obj = memo[id(p)] = p.to_json_obj()
-        return obj
-
-    return sorted(([idx[x], idx[w], encode(p)] for x, w, p in cells), key=lambda t: (t[1], t[0]))
+    cols = sorted((idx[w], dict(col.items())) for w, col in columns)  # the dicts keep each id(p) alive
+    encoded = {k: p.to_json_obj() for k, p in {id(p): p for _, col in cols for p in col.values()}.items()}
+    out: list[list] = []
+    for w, col in cols:
+        out += sorted(map(list, zip(map(idx.__getitem__, col), repeat(w), map(encoded.__getitem__, map(id, col.values())))))
+    return out
 
 
 def _csv_quote(cell: str) -> str:
@@ -329,11 +321,24 @@ def csv_rows(header: str, rows: Iterable[Iterable[str]]) -> str:
     return "".join([header, "\n", *(",".join(map(_csv_quote, row)) + "\n" for row in rows)])
 
 
-def csv_grid(corner: str, labels: list[str], rows: Iterable[Iterable[str]]) -> str:
-    """A square grid: labels across after the corner and down the first column,
-    rows giving each row's cells in label order."""
-    header = corner + "," + ",".join(map(_csv_quote, labels))
-    return csv_rows(header, ([label, *row] for label, row in zip(labels, rows)))
+def csv_grid(corner: str, labels: list[str], order: list, columns: Iterable[Mapping]) -> str:
+    """A square grid of polynomials: labels across after the corner and down the
+    first column, one sparse {key: poly} column per label, keys in order; absent
+    keys are "0".  Each distinct entry object is rendered and quoted once."""
+    at = {x: k for k, x in enumerate(order)}
+    quoted: dict[int, str] = {}  # id(poly) -> its cell
+    grid, blank = [], [_csv_quote(str(ZERO))] * len(at)
+    for col in columns:
+        cells = blank.copy()
+        for x, p in col.items():
+            cell = quoted.get(id(p))
+            if cell is None:
+                cell = quoted[id(p)] = _csv_quote(str(p))
+            cells[at[x]] = cell
+        grid.append(cells)
+    labels = list(map(_csv_quote, labels))
+    rows = (",".join(row) + "\n" for row in zip(labels, *grid))
+    return "".join([corner, ",", ",".join(labels), "\n", *rows])
 
 
 def kl_matrix(cache: KLCache) -> TransitionMatrix:
@@ -360,25 +365,24 @@ def transition_matrix(
         raise ValueError(f"I must be contained in J, got I={sorted(I)}, J={sorted(J)}")
     order = sys.elements()
     spec_i = HybridBasisSpec(I, "TC")
-    cols: dict[Element, dict[Element, LaurentPoly]] = {}
+    cols: dict[Element, Mapping[Element, LaurentPoly]] = {}
     if replicate:
         # column vp of the block: C_vp (vp in W_J) expanded in TC^I
         split_i, join_i = sys.coset_index(I)
         split_j, join_j = sys.coset_index(J)
 
-        def run(solver: _Solver) -> dict[int, list[tuple[int, LaurentPoly]]]:
-            decode = decoder(solver.K, 0)
+        def run(solver: _Solver) -> tuple[int, dict[int, dict[int, int]]]:
             block = {}
             for vp in join_j[0]:  # W_J
                 pieces = _pieces(split_i, solver.column(vp))
-                col = _solve_pieces(solver, pieces, join_i, cache._column_l1(vp))
-                block[vp] = [(x, decode(d)) for x, d in col.items()]
-            return block
+                block[vp] = _solve_pieces(solver, pieces, join_i, cache._column_l1(vp))
+            return solver.K, block
 
-        block = _at_safe_width(cache, 1, run)
+        K, block = _at_safe_width(cache, 1, run)
+        decode = decoder(K, 0)
         for w, (u, vp) in zip(order, split_j):
             row = join_j[u]
-            cols[w] = {order[row[x]]: c for x, c in block[vp]}
+            cols[w] = _Column(sys, {row[x]: d for x, d in block[vp].items()}, decode, K)
     else:
         spec_j = HybridBasisSpec(J, "TC")
         cols = {w: expand_in_hybrid(cache, hybrid_element(cache, spec_j, w), spec_i) for w in order}
@@ -386,7 +390,9 @@ def transition_matrix(
 
 
 def matmul(a: TransitionMatrix, b: TransitionMatrix) -> TransitionMatrix:
-    """Composition: column w of the product is a applied to b's column w."""
+    """Composition: column w of the product is a applied to b's column w, a view
+    at the bound's width.  Operand views at that width and offset are used as
+    they are; any other column has each distinct entry object packed once."""
     if a.system is not b.system:
         raise ValueError("matrices over different systems")
     if a.J != b.I:
@@ -394,33 +400,44 @@ def matmul(a: TransitionMatrix, b: TransitionMatrix) -> TransitionMatrix:
             f"inner subsets do not match: left J={sorted(a.J)}, right I={sorted(b.I)}"
         )
     sys = a.system
-    index, els = sys.index, sys.elements()
-    # each distinct entry object is measured and packed once
-    da = {id(p): p for col in a.columns.values() for p in col.values()}
-    db = {id(p): p for col in b.columns.values() for p in col.values()}
-    l1b = {k: p.l1() for k, p in db.items()}
+    index = sys.index
+    da, db = _distinct(a), _distinct(b)
+    l1 = {k: p.l1() for k, p in (da | db).items()}
     # |(ab)_xw|_1 <= (largest |a_xy|_1) * (largest column sum of |b_yw|_1)
-    bound = max((p.l1() for p in da.values()), default=0) * max(
-        (sum(l1b[id(p)] for p in col.values()) for col in b.columns.values()), default=0
+    bound = max(map(l1.__getitem__, da), default=0) * max(
+        (sum(l1[id(p)] for _, p in col.items()) for col in b.columns.values()), default=0
     )
     K = width(bound)
     if bound >= 1 << K - 2:
         raise ExactnessError(f"matmul: digit width {K} is too narrow for bound {bound}")
     off_a = -min((p.min_exp() for p in da.values() if p), default=0)
     off_b = -min((p.min_exp() for p in db.values() if p), default=0)
+
+    def packed(col: Mapping, off: int, ints: dict[int, int]) -> dict[int, int]:
+        if isinstance(col, _Column) and (col.K, col.off) == (K, off):
+            return col._packed
+        return {index(x): ints[id(p)] for x, p in col.items()}
+
     pa = {k: pack(p, K, off_a) for k, p in da.items()}
     pb = {k: pack(p, K, off_b) for k, p in db.items()}
-    rows = {y: [(index(x), pa[id(p)]) for x, p in col.items()] for y, col in a.columns.items()}
+    rows = {index(y): packed(col, off_a, pa) for y, col in a.columns.items()}
     decode = decoder(K, off_a + off_b)
-    cols: dict[Element, dict[Element, LaurentPoly]] = {}
+    cols: dict[Element, Mapping[Element, LaurentPoly]] = {}
     for w, colb in b.columns.items():
         acc: dict[int, int] = {}
-        for y, c in colb.items():
-            c = pb[id(c)]
-            for x, ax in rows[y]:
+        for y, c in packed(colb, off_b, pb).items():
+            for x, ax in rows[y].items():
                 acc[x] = acc.get(x, 0) + ax * c
-        cols[w] = {els[x]: decode(P) for x, P in acc.items() if P}
+        cols[w] = _Column(sys, {x: P for x, P in acc.items() if P}, decode, K, off_a + off_b)
     return TransitionMatrix(sys, a.I, b.J, a.order, cols)
+
+
+def _distinct(m: TransitionMatrix) -> dict[int, LaurentPoly]:
+    """id(entry) -> entry over the distinct entry objects of m; a view decodes
+    each distinct packed int of a column once."""
+    cols = m.columns.values()
+    entries = (map(c._polys, {*c._packed.values()}) if isinstance(c, _Column) else c.values() for c in cols)
+    return {id(p): p for col in entries for p in col}
 
 
 def default_chain(system: CoxeterSystem) -> list[frozenset[int]]:

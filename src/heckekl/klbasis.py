@@ -60,14 +60,18 @@ _LIMIT = 1 << 62  # every packed coefficient stays below this
 
 
 class _Column(Mapping):
-    """Read-only view x -> h_{x,w} of a packed column {index: int}; each read
-    decodes through the cache's intern table, so equal entries are one object."""
+    """Read-only view x -> polynomial of a packed column {index: int} at digit
+    width K and offset off (laurent.pack); each read decodes through polys, a
+    laurent.decoder(K, off), so equal entries are one object.  KL columns are
+    the views at (64, 0) over KLCache._polys; transition matrices keep their
+    packed columns behind views too.  Two views at the same (K, off) over one
+    element order compare by their packed dicts."""
 
-    __slots__ = ("_packed", "_polys", "_els", "_index")
+    __slots__ = ("_packed", "_polys", "_els", "_index", "K", "off")
 
-    def __init__(self, cache: "KLCache", packed: dict[int, int]):
-        self._packed, self._polys = packed, cache._polys
-        self._els, self._index = cache.system.elements(), cache.system._index
+    def __init__(self, system: CoxeterSystem, packed: dict[int, int], polys, K: int = _DIGIT, off: int = 0):
+        self._packed, self._polys, self.K, self.off = packed, polys, K, off
+        self._els, self._index = system.elements(), system._index
 
     def __getitem__(self, x: Element) -> LaurentPoly:
         return self._polys(self._packed[self._index[x]])
@@ -84,6 +88,11 @@ class _Column(Mapping):
 
     def items(self):  # one C-level pass, not a __getitem__ per key
         return dict(zip(self, map(self._polys, self._packed.values()))).items()
+
+    def __eq__(self, other):
+        if isinstance(other, _Column) and (self._els, self.K, self.off) == (other._els, other.K, other.off):
+            return self._packed == other._packed
+        return Mapping.__eq__(self, other)
 
     def __repr__(self) -> str:
         return f"_Column({dict(self.items())!r})"
@@ -109,7 +118,7 @@ class KLCache:
         """The read-only map x -> h_{x,w}; absent keys are zero."""
         col = self._columns.get(w)
         if col is None:
-            col = self._columns[w] = _Column(self, self._compute(self.system.index(w)))
+            col = self._columns[w] = _Column(self.system, self._compute(self.system.index(w)), self._polys)
             self.computed += 1
         elif self._unguarded and (i := self.system.index(w)) in self._unguarded:
             if None in col._packed.values():  # load could not pack an entry
@@ -274,7 +283,7 @@ class KLCache:
             if not {*map(type, polys)} <= {dict} or not {*map(type, coeffs)} <= {int, str}:
                 raise ValueError(f"cache column {wtext!r}: an entry is not an object of ints or decimal strings")
             i = index(wtext)
-            out._columns[els[i]] = _Column(out, {index(xtext): packed(p) for xtext, p in col.items()})
+            out._columns[els[i]] = _Column(system, {index(xtext): packed(p) for xtext, p in col.items()}, out._polys)
             out._unguarded.add(i)
         return out
 
