@@ -421,14 +421,14 @@ def matmul(a: TransitionMatrix, b: TransitionMatrix) -> TransitionMatrix:
     pa = {k: pack(p, K, off_a) for k, p in da.items()}
     pb = {k: pack(p, K, off_b) for k, p in db.items()}
     rows = {index(y): packed(col, off_a, pa) for y, col in a.columns.items()}
-    decode = decoder(K, off_a + off_b)
+    decode, intern = decoder(K, off_a + off_b), {}.setdefault  # equal product entries share one int
     cols: dict[Element, Mapping[Element, LaurentPoly]] = {}
     for w, colb in b.columns.items():
         acc: dict[int, int] = {}
         for y, c in packed(colb, off_b, pb).items():
             for x, ax in rows[y].items():
                 acc[x] = acc.get(x, 0) + ax * c
-        cols[w] = _Column(sys, {x: P for x, P in acc.items() if P}, decode, K, off_a + off_b)
+        cols[w] = _Column(sys, {x: intern(P, P) for x, P in acc.items() if P}, decode, K, off_a + off_b)
     return TransitionMatrix(sys, a.I, b.J, a.order, cols)
 
 
