@@ -250,7 +250,8 @@ class CoxeterSystem:
         for k in range(1, len(elements)):
             s = word[order[k]][0] - 1
             inverse.append(ri[s][inverse[li[s][k]]])
-        self._inverse = {w: elements[inverse[k]] for k, w in enumerate(elements)}
+        self.inverse_index = inverse  # inverse_index[k] is the index of elements()[k]^-1
+        self._inverse = {w: elements[k] for w, k in zip(elements, inverse)}
         self.identity = ident
 
     # -- basic queries ---------------------------------------------------

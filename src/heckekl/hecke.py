@@ -6,100 +6,147 @@ quadratic relation T_s^2 = 1 + (q^-1 - q) T_s, so that
     T_s T_w = T_sw             if l(sw) > l(w),
     T_s T_w = T_sw + (q^-1 - q) T_w   otherwise,
 
-and symmetrically on the right.  In this normalization no square root of q
-is needed and C_s = T_s + q.
+and symmetrically on the right; no square root of q is needed and C_s =
+T_s + q.  Besides the product: bar (T_x -> (T_{x^-1})^-1, q -> q^-1), psi
+(the linear anti-automorphism T_w -> T_{w^-1}), omega = bar psi (omega(T_x)
+= (T_x)^-1, omega(q^k) = q^-k), the standard form (bar-semilinear in the
+first slot, (bar T_x, T_y) = delta_{x,y}) and restriction to a parabolic
+subalgebra H_J (the terms on W_J).
 
-Besides the product the module provides the three (semi)involutions used
-throughout:
+An element is stored packed (laurent.pack: p is (q^off p)(2^K)): one dict
+{element index: int} at a digit width K, off minus its least exponent, and a
+bound on its L1 norm.  ``.terms`` is its read-only element-keyed view
+(_Column, as for KL columns and transition matrices); a KL element is its
+column's view, not a copy.  Product, bar, psi and restrict read and give
+packed dicts, and form reads them: an operand at the call's K is used as
+stored, an offset change is an exact shift, and only an operand at another K
+is repacked, once per distinct value.  Equal elements at one K have equal
+dicts.
 
-* bar:   the bar involution, T_x -> (T_{x^-1})^-1, q -> q^-1;
-* psi:   the linear anti-automorphism T_w -> T_{w^-1} fixing scalars;
-* omega: their composition, a semilinear anti-automorphism with
-         omega(T_x) = (T_x)^-1 and omega(q^k) = q^-k;
-
-the standard bilinear form (bar-semilinear in the first slot, with
-(bar T_x, T_y) = delta_{x,y}), and two-sided-linear restriction to a
-parabolic subalgebra H_J, which keeps exactly the terms supported on W_J.
-
-The product, bar and form run on packed coefficients (laurent.pack): elements
-become maps index -> int, each coefficient p stored as (q^off p)(2^K), and
-are decoded once on exit.  The digit width comes from an a-priori bound B
-on the L1 norm of every coefficient the call can form, K = laurent.width(B)
-= max(64, bit_length(B) + 2), so huge inputs take the same code with wider
-digits:
-
-* product a*b: B = |b|_1 * sum_x |a_x|_1 3^l(x), since each T_s step at
-  most triples the L1 norm.  Horner over right descents: walk the indices
-  downward and add T_t A_y into A_{yt} (t a right descent of y, T_y = T_{yt}
-  T_t), where A_y starts as a_y b only once y is reached; the result is A_e.
-* bar: B = sum_x |a_x|_1 |bar T_x|_1 <= sum_x |a_x|_1 3^l(x), against one
-  packed table of bar(T_x) per system (started afresh when K changes),
-  filled lazily from bar(T_x) = bar(T_s) bar(T_{sx}), s the first letter
-  of x.
-
-The offset is chosen so that no exponent of any intermediate drops below 0
-(the product applies at most l(x) factors q^-1 to a_x b; bar(T_x) has
-exponents >= -l(w0)), so each q^-1 step is an exact ``>> K``.  The low digit
-of every operand of such a shift is checked (an OR of them, as in the KL
-guard), and a step that was not exact raises ExactnessError.
+K = laurent.width(B), B bounding the L1 norm of every coefficient a call
+forms: each T_s step at most triples a norm, so B = |a|_1 3^l |b|_1 for a*b
+and form(a, b) and |a|_1 3^l for bar(a), l the longest length in supp(a).  A
+result carries its B; where carried bounds would widen the digits, the exact
+norms are used.  The product is Horner over right descents: walking indices
+downward, add T_t A_y into A_{yt} (t a right descent of y), A_y starting as
+a_y b once y is reached; the result is A_e.  Offsets keep every exponent of
+every intermediate >= 0, so each q^-1 step is an exact ``>> K``; an OR of the
+shifted operands checks their low digits (ExactnessError if one was not 0).
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+from functools import reduce
 from heapq import heapify, heappop, heappush
-from typing import Iterable, Mapping
+from operator import or_
+from typing import Iterable
 from weakref import WeakKeyDictionary
 
 from .coxeter import CoxeterSystem, Element
-from .laurent import ExactnessError, LaurentPoly, ONE, ZERO, pack, unpack, width
+from .laurent import ExactnessError, LaurentPoly, ZERO, decoder, pack, unpack, width
 
 
 class MixedSystemError(ValueError):
     """Raised when combining Hecke elements over different Coxeter systems."""
 
 
+class _Column(Mapping):
+    """Read-only view x -> polynomial of a packed dict {index: int} at width K
+    and offset off; reads decode through polys, a laurent.decoder(K, off), so
+    equal entries are one object.  KL columns are views at (64, 0) over
+    KLCache._polys.  Views over one element order compare packed (_same)."""
+
+    __slots__ = ("_packed", "_polys", "_els", "_index", "K", "off")
+
+    def __init__(self, system: CoxeterSystem, packed: dict[int, int], polys, K: int = 64, off: int = 0):
+        self._packed, self._polys, self.K, self.off = packed, polys, K, off
+        self._els, self._index = system.elements(), system._index
+
+    def __getitem__(self, x: Element) -> LaurentPoly:
+        return self._polys(self._packed[self._index[x]])
+
+    def get(self, x, default=None):
+        h = self._packed.get(self._index.get(x))
+        return default if h is None else self._polys(h)
+
+    def __iter__(self):
+        return map(self._els.__getitem__, self._packed)
+
+    def __len__(self) -> int:
+        return len(self._packed)
+
+    def items(self):  # one C-level pass, not a __getitem__ per key
+        return dict(zip(self, map(self._polys, self._packed.values()))).items()
+
+    def __eq__(self, other):
+        if isinstance(other, _Column) and self._els is other._els:
+            return _same(self, other)
+        return Mapping.__eq__(self, other)
+
+    def __repr__(self) -> str:
+        return f"_Column({dict(self.items())!r})"
+
+
 class HeckeElement:
     """A finite Z[q,q^-1]-combination of standard basis elements T_w."""
 
-    __slots__ = ("system", "terms")
+    __slots__ = ("system", "_packed", "K", "off", "_l1", "_view")
 
     def __init__(self, system: CoxeterSystem, terms: Mapping[Element, LaurentPoly]):
-        self.system = system
-        self.terms = {w: c for w, c in terms.items() if not c.is_zero()}
+        terms = {system.index(w): c for w, c in terms.items() if not c.is_zero()}
+        norms = list(map(LaurentPoly.l1, terms.values()))
+        K = width(max(norms, default=0))
+        off = -min(map(LaurentPoly.min_exp, terms.values()), default=0)
+        self.system, self.K, self.off, self._l1, self._view = system, K, off, sum(norms), None
+        self._packed = {x: pack(c, K, off) for x, c in terms.items()}
 
     # -- inspection ----------------------------------------------------
+
+    @property
+    def terms(self) -> Mapping[Element, LaurentPoly]:
+        """The read-only map w -> coefficient of T_w, zeros absent."""
+        if self._view is None:
+            self._view = _Column(self.system, self._packed, decoder(self.K, self.off), self.K, self.off)
+        return self._view
 
     def coeff(self, w: Element) -> LaurentPoly:
         """Coefficient of T_w."""
         return self.terms.get(w, ZERO)
 
     def support(self) -> list[Element]:
-        """Support in canonical element order."""
-        return sorted(self.terms, key=self.system.sort_key)
+        """Support in canonical element order (index order)."""
+        return list(map(self.system.elements().__getitem__, sorted(self._packed)))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._packed
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HeckeElement):
             return NotImplemented
-        return self.system is other.system and self.terms == other.terms
+        return self.system is other.system and _same(self, other)
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self._packed:
             return "HeckeElement(0)"
         bits = [f"({c})*T[{','.join(map(str, self.system.word(w)))}]" for w, c in self._sorted()]
         return "HeckeElement(" + " + ".join(bits) + ")"
 
     def _sorted(self):
-        return sorted(self.terms.items(), key=lambda wc: self.system.sort_key(wc[0]))
+        polys, els = self.terms._polys, self.system.elements()
+        return [(els[x], polys(P)) for x, P in sorted(self._packed.items())]
 
     def to_json_obj(self) -> dict:
-        return {
-            "terms": [
-                {"word": list(self.system.word(w)), "coeff": c.to_json_obj()} for w, c in self._sorted()
-            ]
-        }
+        return {"terms": [{"word": list(self.system.word(w)), "coeff": c.to_json_obj()} for w, c in self._sorted()]}
+
+    def __reduce__(self):  # a view holds a decoder, which does not pickle
+        return _element, (self.system, self._packed, self.K, self.off, self._l1)
+
+    def _exact_l1(self) -> int:
+        """|self|_1, each distinct value decoded once; it replaces the carried bound."""
+        norms = {P: unpack(P, self.K, self.off).l1() for P in set(self._packed.values())}
+        self._l1 = sum(map(norms.__getitem__, self._packed.values()))
+        return self._l1
 
     # -- module structure ------------------------------------------------
 
@@ -111,28 +158,19 @@ class HeckeElement:
         if not isinstance(other, HeckeElement):
             return NotImplemented
         self._check(other)
-        out = dict(self.terms)
+        out = dict(self.terms.items())
         for w, c in other.terms.items():
             _add(out, w, c)
         return HeckeElement(self.system, out)
 
     def __sub__(self, other: "HeckeElement") -> "HeckeElement":
-        if not isinstance(other, HeckeElement):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            _add(out, w, -c)
-        return HeckeElement(self.system, out)
+        return self + -other if isinstance(other, HeckeElement) else NotImplemented
 
     def __neg__(self) -> "HeckeElement":
-        return HeckeElement(self.system, {w: -c for w, c in self.terms.items()})
+        return _element(self.system, {x: -P for x, P in self._packed.items()}, self.K, self.off, self._l1)
 
     def scale(self, c: LaurentPoly | int) -> "HeckeElement":
-        c = c if isinstance(c, LaurentPoly) else LaurentPoly(c)
-        if c.is_zero():
-            return HeckeElement(self.system, {})
-        return HeckeElement(self.system, {w: c * cw for w, cw in self.terms.items()})
+        return HeckeElement(self.system, {w: cw * c for w, cw in self.terms.items()})
 
     # -- multiplication -----------------------------------------------------
 
@@ -143,17 +181,13 @@ class HeckeElement:
             return NotImplemented
         self._check(other)
         sys = self.system
-        if not self.terms or not other.terms:
+        if not self._packed or not other._packed:
             return HeckeElement(sys, {})
-        index, length, els = sys.index, sys.length, sys.elements()
-        K = width(
-            sum(c.l1() for c in other.terms.values())
-            * sum(c.l1() * 3 ** length(a) for a, c in self.terms.items())
-        )
-        off_a = -min(c.min_exp() for c in self.terms.values())
-        off_b = max(map(length, self.terms)) - min(c.min_exp() for c in other.terms.values())
-        b = [(index(w), pack(c, K, off_b)) for w, c in other.terms.items()]
-        seed = {index(a): pack(c, K, off_a) for a, c in self.terms.items()}
+        els = sys.elements()
+        K, bound = _width(self, other)
+        off_a = self.off + sys.length(els[max(self._packed)])  # room for that many factors q^-1
+        seed = _packed_at(self, K, off_a)
+        b = list(_packed_at(other, K, other.off).items())
 
         def start(y: int) -> dict[int, int]:  # A_y when y is first reached: a_y b, or 0
             ca = seed.get(y)
@@ -183,35 +217,32 @@ class HeckeElement:
                     low |= c
                     dest[w] = dest.get(w, 0) + (c >> K) - (c << K)
         _check_exact(low, K)
-        return _unpack_terms(sys, row, K, off_a + off_b)
+        return _result(sys, row, K, off_a + other.off, bound)
 
     def __rmul__(self, other) -> "HeckeElement":
-        if isinstance(other, (LaurentPoly, int)):
-            return self.scale(other)
-        return NotImplemented
+        return self.scale(other) if isinstance(other, (LaurentPoly, int)) else NotImplemented
 
     # -- involutions ---------------------------------------------------------
 
     def bar(self) -> "HeckeElement":
         """Bar involution: semilinear over q -> q^-1, T_x -> (T_{x^-1})^-1."""
         sys = self.system
-        if not self.terms:
+        if not self._packed:
             return HeckeElement(sys, {})
-        index, length = sys.index, sys.length
-        K = width(sum(c.l1() * 3 ** length(x) for x, c in self.terms.items()))
-        off = max(c.max_exp() for c in self.terms.values())  # bar(c) has exponents >= -off
+        K, bound = _width(self)
+        cbar, off = _barred(self, K)
         row = _bar_rows(sys, K)
         out: dict[int, int] = {}
-        for x, c in self.terms.items():
-            cbar = pack(c.bar(), K, off)
-            for y, t in row(index(x)).items():
-                out[y] = out.get(y, 0) + cbar * t
-        return _unpack_terms(sys, out, K, off + length(sys.longest_element()))
+        for x, P in self._packed.items():
+            c = cbar[P]
+            for y, t in row(x).items():
+                out[y] = out.get(y, 0) + c * t
+        return _result(sys, out, K, off + sys.length(sys.longest_element()), bound)
 
     def psi(self) -> "HeckeElement":
         """Linear anti-automorphism T_w -> T_{w^-1}, scalars fixed."""
-        sys = self.system
-        return HeckeElement(sys, {sys.inverse(w): c for w, c in self.terms.items()})
+        inv = self.system.inverse_index
+        return _element(self.system, {inv[x]: P for x, P in self._packed.items()}, self.K, self.off, self._l1)
 
     def omega(self) -> "HeckeElement":
         """Semilinear anti-automorphism: bar followed by psi (they commute)."""
@@ -221,9 +252,9 @@ class HeckeElement:
 
     def restrict(self, J: Iterable[int]) -> "HeckeElement":
         """Projection to the parabolic subalgebra H_J: keep terms with w in W_J."""
-        sys = self.system
-        split, index = sys.coset_index(J)[0], sys.index
-        return HeckeElement(sys, {w: c for w, c in self.terms.items() if split[index(w)][0] == 0})
+        split = self.system.coset_index(J)[0]
+        kept = {x: P for x, P in self._packed.items() if split[x][0] == 0}
+        return _result(self.system, kept, self.K, self.off, self._l1)
 
 
 # ---------------------------------------------------------------------------
@@ -232,11 +263,11 @@ class HeckeElement:
 
 
 def unit(system: CoxeterSystem) -> HeckeElement:
-    return HeckeElement(system, {system.identity: ONE})
+    return t_basis(system, system.identity)
 
 
 def t_basis(system: CoxeterSystem, w: Element) -> HeckeElement:
-    return HeckeElement(system, {w: ONE})
+    return _element(system, {system.index(w): 1}, 64, 0, 1)
 
 
 def form(a: HeckeElement, b: HeckeElement) -> LaurentPoly:
@@ -247,29 +278,24 @@ def form(a: HeckeElement, b: HeckeElement) -> LaurentPoly:
     Z[q,q^-1], and adjoint to multiplication via omega:
     form(a*h, h2) == form(h, a.omega()*h2).
 
-    Only the terms of bar(a) on the support of b are formed, packed as in
-    bar: sum over y in supp(a) of bar(a_y) * sum over x in supp(b) of
-    bar(T_y)[x] b_x, with |result|_1 <= sum_y |a_y|_1 3^l(y) * max_x |b_x|_1.
+    Packed as in bar, only on the support of b: sum over y in supp(a) of
+    bar(a_y) * sum over x in supp(b) of bar(T_y)[x] b_x.
     """
     a._check(b)
     sys = a.system
-    if not a.terms or not b.terms:
+    if not a._packed or not b._packed:
         return ZERO
-    index, length = sys.index, sys.length
-    K = width(
-        sum(c.l1() * 3 ** length(y) for y, c in a.terms.items()) * max(c.l1() for c in b.terms.values())
-    )
-    off_a = max(c.max_exp() for c in a.terms.values())  # bar(a_y) has exponents >= -off_a
-    off_b = -min(c.min_exp() for c in b.terms.values())
-    bd = {index(x): pack(c, K, off_b) for x, c in b.terms.items()}
+    K, _ = _width(a, b)
+    cbar, off = _barred(a, K)
+    bd = _packed_at(b, K, b.off)
     row = _bar_rows(sys, K)
     total = 0
-    for y, c in a.terms.items():
-        r = row(index(y))
+    for y, P in a._packed.items():
+        r = row(y)
         s = sum(r.get(x, 0) * d for x, d in bd.items())
         if s:
-            total += pack(c.bar(), K, off_a) * s
-    return unpack(total, K, off_a + off_b + length(sys.longest_element()))
+            total += cbar[P] * s
+    return unpack(total, K, off + b.off + sys.length(sys.longest_element()))
 
 
 _wrap = HeckeElement  # the constructor's former private name, still imported by tests
@@ -289,11 +315,62 @@ def _check_exact(low: int, K: int):
         raise ExactnessError("packed Hecke arithmetic: a division by q was not exact")
 
 
-def _unpack_terms(system: CoxeterSystem, packed: dict[int, int], K: int, off: int) -> HeckeElement:
-    els = system.elements()
-    poly = {P: unpack(P, K, off) for P in set(packed.values())}  # equal coefficients decode once
-    return HeckeElement(system, {els[i]: poly[P] for i, P in packed.items() if P})
+def _element(system, packed: dict[int, int], K: int, off: int, l1: int, view: _Column | None = None):
+    """The element over packed values computed here (no zeros, no filter), l1 a
+    bound on its L1 norm, view (if given) the view of packed."""
+    h = HeckeElement.__new__(HeckeElement)
+    h.system, h._packed, h.K, h.off, h._l1, h._view = system, packed, K, off, l1, view
+    return h
 
+
+def _result(system, packed: dict[int, int], K: int, off: int, l1: int) -> HeckeElement:
+    """_element with zeros dropped and off lowered to minus the least exponent
+    (the lowest set bit of the OR of the values lies in that digit)."""
+    if 0 in packed.values():
+        packed = {x: P for x, P in packed.items() if P}
+    low = reduce(or_, packed.values(), 0)
+    drop = ((low & -low).bit_length() - 1) // K if low else 0
+    if drop:
+        packed = {x: P >> K * drop for x, P in packed.items()}
+    return _element(system, packed, K, off - drop, l1)
+
+
+def _same(a, b) -> bool:
+    """a == b for packed forms (elements or views) over one element order,
+    compared at the wider K and the larger offset."""
+    K, off = max(a.K, b.K), max(a.off, b.off)
+    return len(a._packed) == len(b._packed) and _packed_at(a, K, off) == _packed_at(b, K, off)
+
+
+def _packed_at(h, K: int, off: int) -> dict[int, int]:
+    """h's packed dict (h an element or a view) at width K and offset off >=
+    h.off: as stored, shifted, or at another K repacked once per distinct value."""
+    if h.K == K:
+        shift = K * (off - h.off)
+        return {x: P << shift for x, P in h._packed.items()} if shift else h._packed
+    repacked = {P: pack(unpack(P, h.K, h.off), K, off) for P in set(h._packed.values())}
+    return {x: repacked[P] for x, P in h._packed.items()}
+
+
+def _width(a: HeckeElement, b: HeckeElement | None = None) -> tuple[int, int]:
+    """(K, B) for a*b or form(a, b), or for bar(a) without b (module docstring):
+    from the carried norms, or the exact ones if those need a wider digit."""
+    b = b or _ONE
+    grow = 3 ** a.system.length(a.system.elements()[max(a._packed)])
+    bound = grow * a._l1 * b._l1
+    if width(bound) > max(a.K, b.K):
+        bound = grow * a._exact_l1() * b._exact_l1()
+    return width(bound), bound
+
+
+def _barred(h: HeckeElement, K: int) -> tuple[dict[int, int], int]:
+    """({P: bar of P packed at K} over h's distinct values, their offset)."""
+    bars = {P: unpack(P, h.K, h.off).bar() for P in set(h._packed.values())}
+    off = -min(p.min_exp() for p in bars.values())
+    return {P: pack(p, K, off) for P, p in bars.items()}, off
+
+
+_ONE = _element(None, {0: 1}, 64, 0, 1)  # |b|_1 = 1 in _width when there is no b
 
 _BAR_ROWS: "WeakKeyDictionary[CoxeterSystem, tuple[int, list]]" = WeakKeyDictionary()
 

@@ -27,22 +27,20 @@ end-to-end identity the test suite checks.
 
 The arithmetic runs on packed ints (laurent.pack: a coefficient p becomes
 (q^off p)(2^K)) keyed by element index.  Matrices stay packed: the columns of
-transition_matrix and matmul are views (klbasis._Column) that decode each
+transition_matrix and matmul are views (hecke._Column) that decode each
 distinct value once, and matmul and same_entries read their packed dicts.
 The digit width K always comes from laurent.width applied to a bound on the
 L1 norms:
 
 * back-substitution (expand_in_hybrid, restriction_coeffs, parabolic_kl,
-  the block of transition_matrix) reads the KL columns the KL kernel
-  packed (KLCache._packed_column, so every read goes through
-  kl_column).  Inputs read from KL columns are in Z[q], offset 0;
-  expand_in_hybrid packs the coefficients of a Hecke element with the
-  offset that lifts its lowest exponent to 0.  Next to each work value runs
-  an integer bound on its L1 norm: the input's, plus |d_v|_1 times the
-  largest |h_{x,v}|_1 of column v for every d_v whose column reaches it.
-  If a bound reaches 2^(K-2), the whole call runs again at the width the
-  bounds give, with the KL columns repacked at that width for the call;
-  ExactnessError if that width is no wider.
+  the block of transition_matrix) reads the KL columns as the KL kernel
+  packed them (through kl_column), in Z[q] at offset 0, and a Hecke
+  element's packed dict as stored.  Next to each work value runs an integer
+  bound on its L1 norm: the input's, plus |d_v|_1 times the largest
+  |h_{x,v}|_1 of column v for every d_v whose column reaches it.  If a
+  bound reaches 2^(K-2), the whole call runs again at the width the bounds
+  give, with the inputs repacked at that width for the call; ExactnessError
+  if that width is no wider.
 * matmul takes K from the a-priori bound (largest |a_xy|_1) * (largest
   column sum of |b_yw|_1) on every entry of the product, and raises
   ExactnessError if the bound does not fit; the product is packed at K.
@@ -54,11 +52,12 @@ import functools
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from itertools import repeat
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .coxeter import CoxeterSystem, Element, format_word
-from .hecke import HeckeElement, t_basis
-from .klbasis import _DIGIT as _KL_WIDTH, KLCache, _Column
+from .hecke import HeckeElement, _Column, _packed_at, t_basis
+from .klbasis import _DIGIT as _KL_WIDTH, KLCache
 from .laurent import ExactnessError, LaurentPoly, ZERO, decoder, pack, width
 
 
@@ -101,16 +100,15 @@ def expand_in_hybrid(
     if spec.orientation == "CT":
         inner = expand_in_hybrid(cache, h.psi(), HybridBasisSpec(J, "TC"))
         return {sys.inverse(x): c for x, c in inner.items()}
-    if not h.terms:
+    if h.is_zero():
         return {}
     split, join = sys.coset_index(J)
-    index, els = sys.index, sys.elements()
-    off = -min(c.min_exp() for c in h.terms.values())  # every exponent + off >= 0
-    bound = max(c.l1() for c in h.terms.values())
+    els = sys.elements()
+    bound = h._l1 if width(h._l1) <= h.K else h._exact_l1()  # bounds every |h_x|_1
 
     def run(solver: _Solver) -> dict[Element, LaurentPoly]:
-        pieces = _pieces(split, {index(x): pack(c, solver.K, off) for x, c in h.terms.items()})
-        decode = decoder(solver.K, off)
+        pieces = _pieces(split, _packed_at(h, solver.K, h.off))  # h.off: every exponent + off >= 0
+        decode = decoder(solver.K, h.off)
         return {els[x]: decode(d) for x, d in _solve_pieces(solver, pieces, join, bound).items()}
 
     return _at_safe_width(cache, bound, run)
@@ -152,23 +150,15 @@ class _Solver:
     """Back-substitution against the KL columns packed at digit width K.
 
     At the KL kernel's own width the columns are KLCache._packed_column
-    (which reads every column through kl_column); at a wider K
-    they are repacked for this call only.  worst is the largest L1 bound of
-    any value popped so far.
+    (which reads every column through kl_column); at a wider K they are
+    repacked for this call only.  worst is the largest L1 bound of any value
+    popped so far.
     """
 
     def __init__(self, cache: KLCache, K: int):
-        self.K = K
-        self.worst = 0
-        self._cache = cache
-        if K == _KL_WIDTH:
-            self.column = cache._packed_column
-        else:
-            self.column = functools.cache(self._repacked)
-
-    def _repacked(self, i: int) -> dict[int, int]:
-        polys, K = self._cache._polys, self.K
-        return {x: pack(polys(h), K, 0) for x, h in self._cache._packed_column(i).items()}
+        self.K, self.worst, self._cache, els = K, 0, cache, cache.system.elements()
+        repacked = functools.cache(lambda i: _packed_at(cache.kl_column(els[i]), K, 0))
+        self.column = cache._packed_column if K == _KL_WIDTH else repacked
 
     def solve(self, tvec: dict[int, int], bound: int) -> dict[int, int]:
         """Solve sum_v d_v C_v = sum_v tvec[v] T_v inside a parabolic subgroup,
@@ -301,14 +291,23 @@ class TransitionMatrix:
 def sparse_entries(order: Iterable, columns: Iterable[tuple]) -> list[list]:
     """[row, column, poly JSON] for each entry of columns, (column key, {row key:
     poly}) pairs, keys numbered by their place in order, sorted by column, then
-    row.  Entries holding one polynomial object share one JSON dict, so treat the
-    result as read-only; each object is encoded once."""
+    row; a view over order (_Column) is read by index, its packed keys being the
+    rows.  Entries holding one polynomial object share one JSON dict, so treat
+    the result as read-only; each object is encoded once."""
     idx = {w: k for k, w in enumerate(order)}
-    cols = sorted((idx[w], dict(col.items())) for w, col in columns)  # the dicts keep each id(p) alive
-    encoded = {k: p.to_json_obj() for k, p in {id(p): p for _, col in cols for p in col.values()}.items()}
+    encoded: dict[int, tuple] = {}  # id(p) -> (p, its JSON dict): holding p keeps its id unique
+
+    def enc(p: LaurentPoly) -> dict:
+        return (encoded.get(id(p)) or encoded.setdefault(id(p), (p, p.to_json_obj())))[1]
+
     out: list[list] = []
-    for w, col in cols:
-        out += sorted(map(list, zip(map(idx.__getitem__, col), repeat(w), map(encoded.__getitem__, map(id, col.values())))))
+    for w, col in sorted(((idx[w], col) for w, col in columns), key=itemgetter(0)):
+        if isinstance(col, _Column) and col._els is order:
+            rows = sorted(col._packed)
+            polys = map(col._polys, map(col._packed.__getitem__, rows))
+            out += map(list, zip(rows, repeat(w), map(enc, polys)))
+        else:
+            out += sorted([idx[x], w, enc(p)] for x, p in col.items())
     return out
 
 

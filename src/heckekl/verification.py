@@ -40,6 +40,11 @@ class CheckResult:
     detail: str = ""
 
 
+def _verdict(name: str, bad: list[str], detail: str) -> CheckResult:
+    """Passed with detail when nothing is bad, else failed with the first three failures."""
+    return CheckResult(name, not bad, detail if not bad else "; ".join(bad[:3]))
+
+
 def crystallographic_note(system: CoxeterSystem) -> str | None:
     """A caveat for dihedral groups outside the Weyl (crystallographic) class."""
     if system.family == "I2" and system.param not in (2, 3, 4, 6):
@@ -66,10 +71,7 @@ def _random_poly(rng) -> LaurentPoly:
 
 
 def _random_element(system, rng) -> HeckeElement:
-    terms = {}
-    for w in rng.sample(system.elements(), min(3, system.order)):
-        terms[w] = _random_poly(rng)
-    return HeckeElement(system, terms)
+    return HeckeElement(system, {w: _random_poly(rng) for w in rng.sample(system.elements(), min(3, system.order))})
 
 
 def _subsets(system):
@@ -170,9 +172,7 @@ def check_kl_positive(cache, rng) -> CheckResult:
                 and sys.bruhat_leq(x, w)
             ):
                 bad.append(f"h at {sys.word(x)},{sys.word(w)}")
-    return CheckResult(
-        "kl_nonneg_in_degree_window", not bad, f"{len(ws)} columns" if not bad else "; ".join(bad[:3])
-    )
+    return _verdict("kl_nonneg_in_degree_window", bad, f"{len(ws)} columns")
 
 
 def check_restriction_positive(cache, rng) -> CheckResult:
@@ -186,11 +186,7 @@ def check_restriction_positive(cache, rng) -> CheckResult:
             for x, p in expand_in_hybrid(cache, cache.kl_element(w), spec).items():
                 if not (p.has_nonneg_coeffs() and p.is_poly_in_q()):
                     bad.append(f"J={sorted(J)} w={sys.word(w)} x={sys.word(x)}")
-    return CheckResult(
-        "restriction_coeffs_nonneg",
-        not bad,
-        f"{len(ws)} columns x {2 ** sys.rank} subsets" if not bad else "; ".join(bad[:3]),
-    )
+    return _verdict("restriction_coeffs_nonneg", bad, f"{len(ws)} columns x {2 ** sys.rank} subsets")
 
 
 def check_transition_positive(cache, rng) -> CheckResult:
@@ -230,9 +226,7 @@ def check_product_expansion_positive(cache, rng) -> CheckResult:
         prod = cache.kl_element(w) * hybrid_element(cache, spec, u)
         if not all(p.has_nonneg_coeffs() for p in expand_in_hybrid(cache, prod, spec).values()):
             bad.append(f"J={sorted(J)} w={sys.word(w)} u={sys.word(u)}")
-    return CheckResult(
-        "kl_times_hybrid_nonneg", not bad, "30 random triples" if not bad else "; ".join(bad[:3])
-    )
+    return _verdict("kl_times_hybrid_nonneg", bad, "30 random triples")
 
 
 # ---------------------------------------------------------------------------
@@ -274,9 +268,7 @@ def check_dihedral_formula(cache, rng) -> CheckResult:
         for w in sys.elements():
             if oracles.dihedral_restriction_formula(sys, u, w) != restriction_coeffs(cache, u, w, {1}):
                 bad.append(f"u={sys.word(u)} w={sys.word(w)}")
-    return CheckResult(
-        "dihedral_closed_form", not bad, "all (u, w), J={1}" if not bad else "; ".join(bad[:3])
-    )
+    return _verdict("dihedral_closed_form", bad, "all (u, w), J={1}")
 
 
 def check_type_a_formulas(cache, rng) -> CheckResult:
@@ -300,9 +292,7 @@ def check_type_a_formulas(cache, rng) -> CheckResult:
                     bad.append(f"translation i={i}")
                 if i <= n - 2 and not oracles.shifted_translation_identity_holds(cache, i, y, x):
                     bad.append(f"shifted i={i}")
-    return CheckResult(
-        "type_a_closed_forms", not bad, "restriction + translation identities" if not bad else "; ".join(bad[:3])
-    )
+    return _verdict("type_a_closed_forms", bad, "restriction + translation identities")
 
 
 def check_interval_restriction(cache, rng) -> CheckResult:
@@ -317,9 +307,7 @@ def check_interval_restriction(cache, rng) -> CheckResult:
                 direct = (t_basis(sys, sys.inverse(u)) * bruhat_interval_element(sys, w)).restrict(J)
                 if oracles.interval_restriction_formula(sys, u, w, J) != direct:
                     bad.append(f"J={{{s}}} u={sys.word(u)} w={sys.word(w)}")
-    return CheckResult(
-        "interval_restriction_formula", not bad, "singleton J, sampled (u,w)" if not bad else "; ".join(bad[:3])
-    )
+    return _verdict("interval_restriction_formula", bad, "singleton J, sampled (u,w)")
 
 
 def check_interval_vs_kl(cache, rng) -> CheckResult:
@@ -357,7 +345,7 @@ def check_coset_orthogonality(cache, rng) -> CheckResult:
                 want = one if u == u2 else HeckeElement(sys, {})
                 if got != want:
                     bad.append(f"J={sorted(J)}")
-    return CheckResult("coset_orthogonality", not bad, "(T_u^-1 T_u')|_J = delta" if not bad else "; ".join(bad[:3]))
+    return _verdict("coset_orthogonality", bad, "(T_u^-1 T_u')|_J = delta")
 
 
 def check_t_shift_of_hybrid(cache, rng) -> CheckResult:
@@ -377,7 +365,7 @@ def check_t_shift_of_hybrid(cache, rng) -> CheckResult:
                     lhs = t_basis(sys, u) * hybrid_element(cache, spec, z)
                     if lhs != hybrid_element(cache, spec, sys.multiply(u, z)):
                         bad.append(f"I={sorted(I)} J={sorted(J)}")
-    return CheckResult("t_shift_of_hybrid_basis", not bad, "sampled (I,J,u,z)" if not bad else "; ".join(bad[:3]))
+    return _verdict("t_shift_of_hybrid_basis", bad, "sampled (I,J,u,z)")
 
 
 def check_vanishing_and_support(cache, rng) -> CheckResult:
@@ -401,9 +389,7 @@ def check_vanishing_and_support(cache, rng) -> CheckResult:
                         bad.append(f"support J={sorted(J)}")
                     if not sys.bruhat_leq(sys.multiply(u, v), w) and not c.is_zero():
                         bad.append(f"support-uv J={sorted(J)}")
-    return CheckResult(
-        "restriction_vanishing_and_support", not bad, "descent vanishing + Bruhat support" if not bad else "; ".join(bad[:3])
-    )
+    return _verdict("restriction_vanishing_and_support", bad, "descent vanishing + Bruhat support")
 
 
 def check_psi_transport(cache, rng) -> CheckResult:
@@ -415,7 +401,7 @@ def check_psi_transport(cache, rng) -> CheckResult:
             ct = hybrid_element(cache, HybridBasisSpec(J, "CT"), sys.inverse(w))
             if tc.psi() != ct:
                 bad.append(f"J={sorted(J)} w={sys.word(w)}")
-    return CheckResult("psi_transport_tc_to_ct", not bad, "psi(TC^J_w) = CT^J_(w^-1)" if not bad else "; ".join(bad[:3]))
+    return _verdict("psi_transport_tc_to_ct", bad, "psi(TC^J_w) = CT^J_(w^-1)")
 
 
 def check_hybrid_unitriangular(cache, rng) -> CheckResult:
@@ -429,9 +415,7 @@ def check_hybrid_unitriangular(cache, rng) -> CheckResult:
             expect = {sys.multiply(u, x): p for x, p in cache.kl_column(v).items()}
             if el.terms != expect or el.coeff(w) != ONE:
                 bad.append(f"J={sorted(J)} w={sys.word(w)}")
-    return CheckResult(
-        "hybrid_unitriangular_support", not bad, "TC^J_w = T_w + lower h-terms" if not bad else "; ".join(bad[:3])
-    )
+    return _verdict("hybrid_unitriangular_support", bad, "TC^J_w = T_w + lower h-terms")
 
 
 def check_sign_module_map(cache, rng) -> CheckResult:
@@ -445,7 +429,7 @@ def check_sign_module_map(cache, rng) -> CheckResult:
             rhs = oracles.sign_action_gen(s, oracles.sign_project(h, J))
             if lhs != rhs:
                 bad.append(f"J={sorted(J)} s={s}")
-    return CheckResult("sign_projection_is_module_map", not bad, "T_s action commutes with projection" if not bad else "; ".join(bad[:3]))
+    return _verdict("sign_projection_is_module_map", bad, "T_s action commutes with projection")
 
 
 # ---------------------------------------------------------------------------

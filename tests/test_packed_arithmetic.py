@@ -1,15 +1,26 @@
-"""The packed Hecke product and bar, the coset tables and one-pass parabolic_kl,
-each against the straightforward construction it replaced."""
+"""The packed Hecke product and bar, the stored packed form of Hecke elements,
+the coset tables and one-pass parabolic_kl, each against the straightforward
+construction it replaced."""
 
 import json
+import pickle
 import random
 
 import pytest
 
-from heckekl import LaurentPoly, coxeter_system, parabolic_kl, restriction_coeffs, t_basis
+from heckekl import (
+    HybridBasisSpec,
+    LaurentPoly,
+    coxeter_system,
+    expand_in_hybrid,
+    hybrid_element,
+    parabolic_kl,
+    restriction_coeffs,
+    t_basis,
+)
 from heckekl import hecke
-from heckekl.hecke import _add, _check_exact, _wrap
-from heckekl.laurent import ONE, ExactnessError, pack, unpack
+from heckekl.hecke import _add, _check_exact, _wrap, form
+from heckekl.laurent import ONE, ZERO, ExactnessError, pack, unpack
 from conftest import get_cache
 
 _QINV_MINUS_Q = LaurentPoly({-1: 1, 1: -1})
@@ -157,6 +168,124 @@ def test_bar_keeps_one_table_per_system():
     assert hecke._BAR_ROWS[s][0] > 64  # the wider table replaced the narrow one
     assert narrow.bar().terms == ref_bar_t(s, x)
     assert hecke._BAR_ROWS[s][0] == 64
+
+
+# ---------------------------------------------------------------------------
+# the stored packed form: results feeding further arithmetic
+# ---------------------------------------------------------------------------
+
+
+def ref_form(a, b):
+    """sum over x of bar(a)_x b_x, from the reference bar."""
+    abar = ref_bar(a)
+    total = ZERO
+    for x, c in b.terms.items():
+        total = total + abar.coeff(x) * c
+    return total
+
+
+def small_element(system, rng, size):
+    """Coefficients in [-3, 3], exponents in [-4, 4]: a K = 64 operand, offsets vary."""
+    return _wrap(
+        system,
+        {w: LaurentPoly({rng.randint(-4, 4): rng.randint(-3, 3) for _ in range(2)}) for w in rng.sample(system.elements(), size)},
+    )
+
+
+def rebuild(cache, coords, spec):
+    """sum over x of coords[x] TC^J_x, in the standard basis."""
+    out = _wrap(cache.system, {})
+    for x, c in coords.items():
+        out = out + hybrid_element(cache, spec, x).scale(c)
+    return out
+
+
+@pytest.mark.parametrize("group", ["A3", "B3", "I2(7)"])  # the references are slow at D4
+def test_results_feed_products_bars_forms_and_expansions(group):
+    rng = random.Random(f"chain {group}")
+    cache = get_cache(group)
+    s = cache.system
+    w = rng.choice(s.elements())
+    for make in (small_element, big_element):  # K = 64 only, then K > 64 mixed in
+        a, b, c = make(s, rng, 3), small_element(s, rng, 2), cache.kl_element(w)
+        ab = a * b
+        assert ab == ref_mul(a, b)
+        assert ab * c == ref_mul(ref_mul(a, b), c)
+        assert c * ab == ref_mul(c, ref_mul(a, b))
+        assert ab.bar() == ref_bar(ref_mul(a, b))
+        assert ab.bar() * ab == ref_mul(ref_bar(ab), ab)
+        assert form(ab, c) == ref_form(ab, c)
+        assert form(c, ab.bar()) == ref_form(c, ref_bar(ab))
+        spec = HybridBasisSpec({1})
+        for h in (ab, c * t_basis(s, w)):
+            assert rebuild(cache, expand_in_hybrid(cache, h, spec), spec) == h
+
+
+def test_mixed_widths_and_offsets():
+    rng = random.Random("mixed")
+    cache = get_cache("B3")
+    s = cache.system
+    big, small = big_element(s, rng, 4), small_element(s, rng, 3)
+    kl = cache.kl_element(s.longest_element())
+    assert big.K > 64 and small.K == 64 and (kl.K, kl.off) == (64, 0)
+    assert small.off != big.off and small.off > 0  # negative exponents lift the offset
+    for x, y in ((big, small), (small, big), (big, kl), (kl, big), (small, kl), (kl, small)):
+        assert x * y == ref_mul(x, y)
+        assert (x * y).bar() == ref_bar(ref_mul(x, y))
+        assert form(x, y) == ref_form(x, y)
+    # one value at two widths and two offsets compares equal
+    wide = small * _wrap(s, {s.identity: LaurentPoly({-5: 2**90})})
+    assert wide.K > 64 and wide.scale(LaurentPoly({5: 1})) == small.scale(2**90)
+    assert (small - small).is_zero() and -small == small.scale(-1)
+
+
+def test_results_are_packed_with_the_least_offset():
+    rng = random.Random("offsets")
+    s = coxeter_system("D4")
+    a, b = small_element(s, rng, 3), small_element(s, rng, 3)
+    lhs, rhs = (a * b).bar(), a.bar() * b.bar()
+    assert (lhs.K, lhs.off) == (rhs.K, rhs.off) == (64, -min(c.min_exp() for c in lhs.terms.values()))
+    assert lhs._packed == rhs._packed  # equal elements at one width: equal packed dicts
+
+
+def test_exact_norms_keep_the_kl_width():
+    # T_s C_w0 = q^-1 C_w0, so the norms stay put while the carried bounds grow by 3^l(w0) a step
+    cache = get_cache("D4")
+    s = cache.system
+    w0 = s.longest_element()
+    c = h = cache.kl_element(w0)
+    for _ in range(4):
+        h = t_basis(s, w0) * h
+    assert h == c.scale(LaurentPoly.q_power(-4 * s.length(w0)))
+    assert h.K == 64  # the carried bound alone, |C_w0|_1 3^(4 l(w0)), would widen the digits
+
+
+def test_kl_element_shares_the_column():
+    cache = get_cache("D4")
+    s = cache.system
+    for w in (s.identity, s.generator(2), s.longest_element()):
+        col = cache.kl_column(w)
+        c = cache.kl_element(w)
+        assert c.terms is col and c.terms._packed is col._packed  # no copy
+        assert c == _wrap(s, dict(col.items()))
+        assert dict(pickle.loads(pickle.dumps(c)).terms.items()) == dict(col.items())  # over a copy of s
+        assert c.psi().terms._packed == cache.kl_column(s.inverse(w))._packed
+
+
+def test_terms_are_a_read_only_view():
+    rng = random.Random("view")
+    s = coxeter_system("A3")
+    h = small_element(s, rng, 4) * small_element(s, rng, 2)
+    w = next(iter(h.terms))
+    with pytest.raises(TypeError):
+        h.terms[w] = ONE
+    with pytest.raises(TypeError):
+        get_cache("A3").kl_element(w).terms[w] = ONE
+    plain = dict(h.terms.items())
+    assert h.terms == plain and plain == h.terms
+    assert h.terms != {**plain, w: plain[w] + ONE}
+    assert h == _wrap(s, plain) and h.support() == sorted(plain, key=s.sort_key)
+    assert all(h.coeff(x) == c for x, c in plain.items())
 
 
 # ---------------------------------------------------------------------------
