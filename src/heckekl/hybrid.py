@@ -157,8 +157,9 @@ class _Solver:
 
     def __init__(self, cache: KLCache, K: int):
         self.K, self.worst, self._cache, els = K, 0, cache, cache.system.elements()
-        repacked = functools.cache(lambda i: _packed_at(cache.kl_column(els[i]), K, 0))
-        self.column = cache._packed_column if K == _KL_WIDTH else repacked
+        self.column = cache._packed_column
+        if K != _KL_WIDTH:
+            self.column = functools.cache(lambda i: _packed_at(cache.kl_column(els[i]), K, 0))
 
     def solve(self, tvec: dict[int, int], bound: int) -> dict[int, int]:
         """Solve sum_v d_v C_v = sum_v tvec[v] T_v inside a parabolic subgroup,
