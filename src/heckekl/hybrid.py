@@ -150,9 +150,9 @@ class _Solver:
     """Back-substitution against the KL columns packed at digit width K.
 
     At the KL kernel's own width the columns are KLCache._packed_column
-    (which reads every column through kl_column); at a wider K they are
-    repacked for this call only.  worst is the largest L1 bound of any value
-    popped so far.
+    (which reads every column through kl_column); at a wider K
+    they are repacked for this call only.  worst is the largest L1 bound of
+    any value popped so far.
     """
 
     def __init__(self, cache: KLCache, K: int):
