@@ -79,10 +79,9 @@ def _emit(args, text: str) -> None:
 def _json_text(obj) -> str:
     """json.dumps(obj, indent=2) + newline, byte for byte, for a tree (no
     cycles), with C-level passes for int lists and lists of [int, int, x]
-    entries.  Each str-keyed dict is rendered once per depth, so a polynomial
-    dict shared by many entries costs one rendering; other values go through
-    json.dumps itself."""
-    memo: dict[tuple[int, int], str] = {}  # (id, depth) -> text; obj keeps every id alive
+    entries.  In such a list each distinct x object is rendered once, so a
+    polynomial dict shared by many entries costs one rendering; other values
+    go through json.dumps itself."""
 
     def enc(o, depth: int) -> str:
         t = type(o)
@@ -92,12 +91,7 @@ def _json_text(obj) -> str:
             return int.__repr__(o)
         if (t is not list and t is not tuple and (t is not dict or not {*map(type, o)} <= {str})) or not o:
             return json.dumps(o, indent=2).replace("\n", "\n" + "  " * depth)
-        if t is not dict:  # only the polynomial dicts are shared
-            return container(o, depth)
-        key = (id(o), depth)
-        if key not in memo:
-            memo[key] = container(o, depth)
-        return memo[key]
+        return container(o, depth)
 
     def container(o, depth: int) -> str:
         ind, close = "\n" + "  " * (depth + 1), "\n" + "  " * depth

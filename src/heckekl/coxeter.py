@@ -1,15 +1,16 @@
 """Finite Coxeter groups of types A, B, D and I2(m) with combinatorial services.
 
-Each group is realized concretely (one-line permutations for A, signed
-permutations for B and D, rotation/reflection pairs for I2); the realization
-gives only the identity, the generators and the product.  Everything else
-comes from one breadth-first enumeration at construction: the length of w is
-the level at which w is first reached, the right and left multiplication
-tables by generators are read off the product, and from those follow the
-descent sets, the ShortLex canonical reduced word (greedy smallest left
-descent) and the inverse (w^-1 = (s w)^-1 s for s the first letter of the
-word).  Canonical element order is (length, word) and is the order used for
-every matrix and listing; the multiplication tables are kept on its indices only.
+A realization gives only the identity, the generators and the product: one
+signed-permutation realization serves A, B and D (A is its all-positive
+case), and I2(m) keeps (length, first letter) pairs whose product is read off
+the Coxeter relation.  Everything else comes from one breadth-first
+enumeration at construction: the length of w is the level at which w is
+first reached, the right and left multiplication tables by generators are
+read off the product, and from those follow the descent sets, the ShortLex
+canonical reduced word (greedy smallest left descent) and the inverse (w^-1
+= (s w)^-1 s for s the first letter of the word).  Canonical element order is
+(length, word) and is the order used for every matrix and listing; the
+multiplication tables are kept on its indices only.
 
 Generators are named 1..rank.  Conventions:
 
@@ -18,7 +19,9 @@ Generators are named 1..rank.  Conventions:
   generator j >= 2 swaps positions j-1, j; m(1,2) = 4.
 * D(n): even-signed permutations; generator 1 maps (a, b, ...) to
   (-b, -a, ...), generator j >= 2 as in B; m(1,2) = 2, m(1,3) = 3.
-* I2(m): dihedral of order 2m; elements are (length, first-letter) pairs.
+* I2(m): dihedral of order 2m; an element is the (length, first letter) of
+  its alternating reduced word, w*s_g cancels or appends the letter g, and
+  w0 = (m, 1) has both alternating words of length m.
 
 Bruhat order is one bitset per element, the lower interval [e, w] over
 canonical indices, built on first use by the lifting property
@@ -49,69 +52,45 @@ class UnsupportedGroupError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-class _TypeA:
-    """S_{n+1} as one-line tuples of 1..n+1."""
+class _SignedPermutations:
+    """A(n), B(n) and D(n) as signed permutations in one-line form: a tuple of
+    entries in ±1..±N, with (ab)(i) = a(b(i)) and a(-j) = -a(j).
 
-    def __init__(self, n: int):
+    A(n) is the all-positive case on N = n+1 letters; B(n) and D(n) act on
+    N = n.  Generators 2..rank are the last rank-1 adjacent transpositions;
+    generator 1 is (2, 1, ...) in A, (-1, 2, ...) in B, (-2, -1, ...) in D.
+    """
+
+    _FIRST = {"A": (2, 1), "B": (-1,), "D": (-2, -1)}
+
+    def __init__(self, family: str, n: int):
         self.rank = n
-        self.order_formula = factorial(n + 1)
+        size = n + 1 if family == "A" else n
+        self.order_formula = factorial(n) * {"A": n + 1, "B": 2**n, "D": 2 ** (n - 1)}[family]
+        self._identity = e = tuple(range(1, size + 1))
+        first = self._FIRST[family]
+        self._gens = [first + e[len(first) :]]
+        for k in range(size - n + 1, size):  # swap the letters k, k+1
+            self._gens.append(e[: k - 1] + (k + 1, k) + e[k + 1 :])
 
     def identity(self) -> Element:
-        return tuple(range(1, self.rank + 2))
+        return self._identity
 
     def gen(self, i: int) -> Element:
-        e = list(self.identity())
-        e[i - 1], e[i] = e[i], e[i - 1]
-        return tuple(e)
+        return self._gens[i - 1]
 
     def multiply(self, a: Element, b: Element) -> Element:
-        return tuple(a[v - 1] for v in b)
+        return tuple([a[v - 1] if v > 0 else -a[-v - 1] for v in b])  # a list builds faster than a generator
 
 
-class _TypeB:
-    """Signed permutations as one-line tuples with entries ±1..±n."""
+class _Dihedral:
+    """I2(m), order 2m: an element is (length, first letter) of its alternating
+    reduced word, the identity (0, 0) and the longest element w0 (m, 1).
 
-    def __init__(self, n: int):
-        self.rank = n
-        self.order_formula = 2**n * factorial(n)
-
-    def identity(self) -> Element:
-        return tuple(range(1, self.rank + 1))
-
-    def gen(self, i: int) -> Element:
-        e = list(self.identity())
-        if i == 1:
-            e[0] = -1
-        else:
-            e[i - 2], e[i - 1] = e[i - 1], e[i - 2]
-        return tuple(e)
-
-    def multiply(self, a: Element, b: Element) -> Element:
-        return tuple(a[v - 1] if v > 0 else -a[-v - 1] for v in b)
-
-
-class _TypeD(_TypeB):
-    """Even-signed permutations."""
-
-    def __init__(self, n: int):
-        self.rank = n
-        self.order_formula = 2 ** (n - 1) * factorial(n)
-
-    def gen(self, i: int) -> Element:
-        e = list(self.identity())
-        if i == 1:
-            e[0], e[1] = -2, -1
-        else:
-            e[i - 2], e[i - 1] = e[i - 1], e[i - 2]
-        return tuple(e)
-
-
-class _TypeI2:
-    """Dihedral group of order 2m; element = (length, first letter of the
-    unique reduced word), with the longest element stored as (m, 1).
-
-    Multiplication goes through the rotation/reflection form: writing
-    r = s1*s2, every element is r^a or r^a*s1, and r^b*s1 = s1*r^-b.
+    The product is read off the Coxeter relation alone.  w*s_g cancels the
+    last letter of w when that is g and appends g otherwise; w0 has both
+    alternating words of length m, so w0*s_g is the alternating word of
+    length m-1 that ends before g.  a*b walks b's word one letter at a time.
     """
 
     def __init__(self, m: int):
@@ -125,35 +104,23 @@ class _TypeI2:
     def gen(self, i: int) -> Element:
         return (1, i)
 
-    def _to_rot(self, w: Element) -> tuple[int, int]:
+    def _times(self, w: Element, g: int) -> Element:
+        """w * s_g."""
         ln, first = w
-        if first == 0:
-            return (0, 0)
-        if first == 1:
-            return (ln // 2 % self.m, ln % 2)
-        if ln % 2 == 0:
-            return (-(ln // 2) % self.m, 0)
-        return (-((ln + 1) // 2) % self.m, 1)
-
-    def _from_rot(self, a: int, refl: int) -> Element:
-        m = self.m
-        a %= m
-        if refl == 0:
-            if a == 0:
-                return (0, 0)
-            l1, l2 = 2 * a, 2 * (m - a)
-        else:
-            l1, l2 = 2 * a + 1, 2 * (m - a) - 1
-        if l1 <= l2:
-            return (l1, 1)
-        return (l2, 2)
+        if ln == self.m:  # w0 = the word of length m that ends in g
+            return (ln - 1, g if ln % 2 else 3 - g)
+        if ln == 0:
+            return (1, g)
+        if g == (first if ln % 2 else 3 - first):  # g is the last letter
+            return (ln - 1, first) if ln > 1 else (0, 0)
+        return (ln + 1, first) if ln + 1 < self.m else (self.m, 1)
 
     def multiply(self, a: Element, b: Element) -> Element:
-        ra, fa = self._to_rot(a)
-        rb, fb = self._to_rot(b)
-        if fa == 0:
-            return self._from_rot(ra + rb, fb)
-        return self._from_rot(ra - rb, 1 - fb)
+        ln, g = b
+        for _ in range(ln):
+            a = self._times(a, g)
+            g = 3 - g
+        return a
 
 
 def _bits(b: int):
@@ -188,7 +155,7 @@ class CoxeterSystem:
             )
         self.family = family
         self.param = param
-        real = {"A": _TypeA, "B": _TypeB, "D": _TypeD, "I2": _TypeI2}[family](param)
+        real = _Dihedral(param) if family == "I2" else _SignedPermutations(family, param)
         self._real = real
         self.rank = real.rank
         self.generators = tuple(range(1, self.rank + 1))
@@ -292,7 +259,7 @@ class CoxeterSystem:
         return tuple(out)
 
     def generator(self, i: int) -> Element:
-        return self._real.gen(i)
+        return self.apply_right(self.identity, i)
 
     def index(self, w: Element) -> int:
         return self._index[w]

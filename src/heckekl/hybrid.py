@@ -58,7 +58,7 @@ from typing import Iterable, Mapping
 from .coxeter import CoxeterSystem, Element, format_word
 from .hecke import HeckeElement, _Column, _packed_at, t_basis
 from .klbasis import _DIGIT as _KL_WIDTH, KLCache
-from .laurent import ExactnessError, LaurentPoly, ZERO, decoder, pack, width
+from .laurent import ExactnessError, LaurentPoly, ZERO, decoder, width
 
 
 @dataclass(frozen=True)
@@ -268,7 +268,7 @@ class TransitionMatrix:
 
     def is_nonneg_poly_matrix(self) -> bool:
         """True when every entry lies in Z_{>=0}[q]."""
-        return all(p.has_nonneg_coeffs() and p.is_poly_in_q() for p in _distinct(self).values())
+        return all(p.has_nonneg_coeffs() and p.is_poly_in_q() for p in _distinct(_views(self).values()).values())
 
     def to_json_obj(self) -> dict:
         """Sparse [row, column, poly] entries by column.  Entries holding one
@@ -391,8 +391,9 @@ def transition_matrix(
 
 def matmul(a: TransitionMatrix, b: TransitionMatrix) -> TransitionMatrix:
     """Composition: column w of the product is a applied to b's column w, a view
-    at the bound's width.  Operand views at that width and offset are used as
-    they are; any other column has each distinct entry object packed once."""
+    at the bound's width.  Each operand's columns are read at that width and at
+    the operand's largest view offset (hecke._packed_at); a plain-dict column
+    is packed once into a view first."""
     if a.system is not b.system:
         raise ValueError("matrices over different systems")
     if a.J != b.I:
@@ -400,44 +401,39 @@ def matmul(a: TransitionMatrix, b: TransitionMatrix) -> TransitionMatrix:
             f"inner subsets do not match: left J={sorted(a.J)}, right I={sorted(b.I)}"
         )
     sys = a.system
-    index = sys.index
-    da, db = _distinct(a), _distinct(b)
+    va, vb = _views(a), _views(b)
+    da, db = _distinct(va.values()), _distinct(vb.values())
     l1 = {k: p.l1() for k, p in (da | db).items()}
     # |(ab)_xw|_1 <= (largest |a_xy|_1) * (largest column sum of |b_yw|_1)
     bound = max(map(l1.__getitem__, da), default=0) * max(
-        (sum(l1[id(p)] for _, p in col.items()) for col in b.columns.values()), default=0
+        (sum(l1[id(p)] for _, p in col.items()) for col in vb.values()), default=0
     )
     K = width(bound)
     if bound >= 1 << K - 2:
         raise ExactnessError(f"matmul: digit width {K} is too narrow for bound {bound}")
-    off_a = -min((p.min_exp() for p in da.values() if p), default=0)
-    off_b = -min((p.min_exp() for p in db.values() if p), default=0)
-
-    def packed(col: Mapping, off: int, ints: dict[int, int]) -> dict[int, int]:
-        if isinstance(col, _Column) and (col.K, col.off) == (K, off):
-            return col._packed
-        return {index(x): ints[id(p)] for x, p in col.items()}
-
-    pa = {k: pack(p, K, off_a) for k, p in da.items()}
-    pb = {k: pack(p, K, off_b) for k, p in db.items()}
-    rows = {index(y): packed(col, off_a, pa) for y, col in a.columns.items()}
+    off_a = max((c.off for c in va.values()), default=0)
+    off_b = max((c.off for c in vb.values()), default=0)
+    rows = {sys.index(y): _packed_at(col, K, off_a) for y, col in va.items()}
     decode, intern = decoder(K, off_a + off_b), {}.setdefault  # equal product entries share one int
     cols: dict[Element, Mapping[Element, LaurentPoly]] = {}
-    for w, colb in b.columns.items():
+    for w, colb in vb.items():
         acc: dict[int, int] = {}
-        for y, c in packed(colb, off_b, pb).items():
+        for y, c in _packed_at(colb, K, off_b).items():
             for x, ax in rows[y].items():
                 acc[x] = acc.get(x, 0) + ax * c
         cols[w] = _Column(sys, {x: intern(P, P) for x, P in acc.items() if P}, decode, K, off_a + off_b)
     return TransitionMatrix(sys, a.I, b.J, a.order, cols)
 
 
-def _distinct(m: TransitionMatrix) -> dict[int, LaurentPoly]:
-    """id(entry) -> entry over the distinct entry objects of m; a view decodes
-    each distinct packed int of a column once."""
-    cols = m.columns.values()
-    entries = (map(c._polys, {*c._packed.values()}) if isinstance(c, _Column) else c.values() for c in cols)
-    return {id(p): p for col in entries for p in col}
+def _views(m: TransitionMatrix) -> dict[Element, _Column]:
+    """m's columns as views; a plain-dict column is packed once into one."""
+    return {w: c if isinstance(c, _Column) else HeckeElement(m.system, c).terms for w, c in m.columns.items()}
+
+
+def _distinct(views: Iterable[_Column]) -> dict[int, LaurentPoly]:
+    """id(entry) -> entry over the distinct entry objects of views, each
+    distinct packed int of a column decoded once."""
+    return {id(p): p for c in views for p in map(c._polys, {*c._packed.values()})}
 
 
 def default_chain(system: CoxeterSystem) -> list[frozenset[int]]:

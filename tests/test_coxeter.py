@@ -212,3 +212,40 @@ def test_i2_realization_arithmetic():
         assert s.length(s.longest_element()) == m
         alternating = s.element_from_word([1 if i % 2 == 0 else 2 for i in range(m)])
         assert alternating == s.longest_element()
+
+
+def test_i2_products_match_the_polygon_action():
+    """Every product of I2(m) against an independent model: the action on the
+    m-gon's vertices, s1: i -> -i and s2: i -> 1 - i (mod m).  A handle
+    (length, first letter) stands for the alternating word it names."""
+    for m in range(3, 25):
+        s = coxeter_system(f"I2({m})")
+        els = s.elements()
+
+        def vertices(w):
+            ln, g = w
+            word = [g if k % 2 == 0 else 3 - g for k in range(ln)]
+            out = []
+            for i in range(m):
+                for h in reversed(word):  # the rightmost letter acts first
+                    i = -i % m if h == 1 else (1 - i) % m
+                out.append(i)
+            return tuple(out)
+
+        act = {w: vertices(w) for w in els}
+        assert len(set(act.values())) == 2 * m  # the handles name distinct elements
+        assert act[s.longest_element()] == vertices((m, 2))  # w0 has both alternating words
+        for a in els:
+            for b in els:
+                ab = s.multiply(a, b)
+                assert ab in act, (m, a, b, ab)
+                assert act[ab] == tuple(act[a][i] for i in act[b]), (m, a, b)
+
+
+@pytest.mark.parametrize("group", ["A3", "B3", "D4", "I2(5)"])
+def test_generator_rejects_an_index_outside_the_rank(group):
+    s = coxeter_system(group)
+    assert [s.generator(i) for i in s.generators] == [s.element_from_word([i]) for i in s.generators]
+    for i in (0, -1, s.rank + 1):
+        with pytest.raises(ValueError, match="invalid generator index"):
+            s.generator(i)
