@@ -5,14 +5,8 @@ mark the failed checks and exit 1."""
 import json
 
 from heckekl import cli
-from heckekl.cli import main
 from heckekl.hecke import HeckeElement
-
-
-def run(capsys, *argv):
-    code = main(list(argv))
-    out, err = capsys.readouterr()
-    return code, out, err
+from test_cli_contract import run
 
 
 def test_verify_reports_failed_checks_with_exit_code_1(monkeypatch, capsys):
