@@ -8,9 +8,10 @@ enumeration at construction: the length of w is the level at which w is
 first reached, the right and left multiplication tables by generators are
 read off the product, and from those follow the descent sets, the ShortLex
 canonical reduced word (greedy smallest left descent) and the inverse (w^-1
-= (s w)^-1 s for s the first letter of the word).  Canonical element order is
-(length, word) and is the order used for every matrix and listing; the
-multiplication tables are kept on its indices only.
+= (s w)^-1 s for s the first letter of the word); the w0-conjugation table
+is built on first use.  Canonical element order is (length, word) and is
+the order used for every matrix and listing; the multiplication tables are
+kept on its indices only.
 
 Generators are named 1..rank.  Conventions:
 
@@ -306,6 +307,35 @@ class CoxeterSystem:
                 raise ValueError(f"invalid generator index {g!r} at position {pos} (rank {self.rank})")
             k = self.right_index[g - 1][k]
         return self._elements[k]
+
+    # -- symmetries --------------------------------------------------------
+
+    @cached_property
+    def conjugate_index(self) -> list[int]:
+        """conjugate_index[k] is the index of w0 * elements()[k] * w0.  With
+        s_i w0 = w0 s_sigma(i), the conjugate of w*s_i is the conjugate of w
+        times s_sigma(i), so the table is built along the right table."""
+        top, ri = self.order - 1, self.right_index
+        w0_times = [r[top] for r in ri]  # w0 * s_j for each j
+        sigma = [w0_times.index(li[top]) for li in self.left_index]
+        conj = [0]
+        for k in range(1, self.order):
+            s = self._word[self._elements[k]][-1] - 1
+            conj.append(ri[sigma[s]][conj[ri[s][k]]])
+        return conj
+
+    @cached_property
+    def index_symmetries(self) -> tuple[list[int], ...]:
+        """The index tables of w -> w^-1, w -> w0*w*w0 and their composite
+        w -> w0*w^-1*w0, leaving out the identity and repeats (w0 is central
+        in B, for example, so there only the inverse is left).  Each is an
+        involution that preserves length and Bruhat order."""
+        inv, conj = self.inverse_index, self.conjugate_index
+        out: list[list[int]] = []
+        for table in (inv, conj, [inv[k] for k in conj]):
+            if table != list(range(self.order)) and table not in out:
+                out.append(table)
+        return tuple(out)
 
     # -- Bruhat order ------------------------------------------------------
 

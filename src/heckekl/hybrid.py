@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from itertools import repeat
 from operator import itemgetter
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .coxeter import CoxeterSystem, Element, format_word
 from .hecke import HeckeElement, _Column, _packed_at, t_basis
@@ -268,7 +268,8 @@ class TransitionMatrix:
 
     def is_nonneg_poly_matrix(self) -> bool:
         """True when every entry lies in Z_{>=0}[q]."""
-        return all(p.has_nonneg_coeffs() and p.is_poly_in_q() for p in _distinct(_views(self).values()).values())
+        polys = (d(h) for d, hs in _entries(_views(self).values()).items() for h in hs)
+        return all(p.has_nonneg_coeffs() and p.is_poly_in_q() for p in polys)
 
     def to_json_obj(self) -> dict:
         """Sparse [row, column, poly] entries by column.  Entries holding one
@@ -402,11 +403,11 @@ def matmul(a: TransitionMatrix, b: TransitionMatrix) -> TransitionMatrix:
         )
     sys = a.system
     va, vb = _views(a), _views(b)
-    da, db = _distinct(va.values()), _distinct(vb.values())
-    l1 = {k: p.l1() for k, p in (da | db).items()}
-    # |(ab)_xw|_1 <= (largest |a_xy|_1) * (largest column sum of |b_yw|_1)
-    bound = max(map(l1.__getitem__, da), default=0) * max(
-        (sum(l1[id(p)] for _, p in col.items()) for col in vb.values()), default=0
+    # |(ab)_xw|_1 <= (largest |a_xy|_1) * (largest column sum of |b_yw|_1),
+    # read from la, lb: decoder -> {packed int: L1 norm of its entry}
+    la, lb = ({d: {h: d(h).l1() for h in hs} for d, hs in _entries(v.values()).items()} for v in (va, vb))
+    bound = max((max(m.values(), default=0) for m in la.values()), default=0) * max(
+        (sum(map(lb[col._polys].__getitem__, col._packed.values())) for col in vb.values()), default=0
     )
     K = width(bound)
     if bound >= 1 << K - 2:
@@ -430,10 +431,13 @@ def _views(m: TransitionMatrix) -> dict[Element, _Column]:
     return {w: c if isinstance(c, _Column) else HeckeElement(m.system, c).terms for w, c in m.columns.items()}
 
 
-def _distinct(views: Iterable[_Column]) -> dict[int, LaurentPoly]:
-    """id(entry) -> entry over the distinct entry objects of views, each
-    distinct packed int of a column decoded once."""
-    return {id(p): p for c in views for p in map(c._polys, {*c._packed.values()})}
+def _entries(views: Iterable[_Column]) -> dict[Callable, set[int]]:
+    """decoder -> the distinct packed ints of the views read through it:
+    each distinct entry is one (decoder, int) pair, so it is decoded once."""
+    out: dict[Callable, set[int]] = {}
+    for c in views:
+        out.setdefault(c._polys, set()).update(c._packed.values())
+    return out
 
 
 def default_chain(system: CoxeterSystem) -> list[frozenset[int]]:

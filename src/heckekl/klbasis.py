@@ -10,6 +10,10 @@ h_{x,w} in qZ[q] for x < w.  Two independent computations are provided:
       C_w = C_{ws} C_s - sum_{z < ws, zs < z} mu(z, ws) C_z
 
   (s the last letter of the ShortLex word of w) and memoized per column.
+  The recursion runs once per orbit of h_{x,w} = h_{x^-1,w^-1} =
+  h_{w0 x w0, w0 w w0} (psi and the diagram automorphism s -> w0 s w0 both
+  commute with bar): a column whose partner under one of the system's
+  index_symmetries was already read is that column relabeled.
 
 * KLOracle — a deliberately separate recursion that peels a left descent
   off the second index:
@@ -25,7 +29,8 @@ coefficient of C_v C_s at y is h_{ys,v} + (h_{y,v} >> 64 if ys < y, else
 h_{y,v} << 64); mu is digit 1.  A guard raises ExactnessError naming the
 column unless its diagonal is 1, each >> 64 was exact, (2 + sum of mu) *
 (largest coefficient so far) < 2^62 (so decoding is unique) and all entries
-are >= 0 with digits < 2^62; loaded columns pass it when first read.  Each
+are >= 0 with digits < 2^62; loaded columns pass it when first read.  A
+relabeled column holds its partner's ints, so it needs no guard.  Each
 column is one packed dict {index: int}, its only copy: compute, read, load
 and save all use it, kl_column hands out a read-only Mapping view of it that
 decodes through one intern table, and kl_element is a Hecke element over that
@@ -61,12 +66,14 @@ _LIMIT = 1 << 62  # every packed coefficient stays below this
 
 class KLCache:
     """Per-system store of KL columns h_{.,w}, filled on demand: one packed dict
-    per column, the only copy of it, behind its read-only view in ``_columns``."""
+    per column, the only copy of it, behind its read-only view in ``_columns``.
+    A column is computed by the recursion, or relabeled from a partner
+    already read (stored, and not a loaded column still unguarded)."""
 
     def __init__(self, system: CoxeterSystem):
         self.system = system
         self._columns: dict[Element, _Column] = {}
-        self.computed = 0  # columns computed here rather than loaded
+        self.computed = 0  # columns computed (or relabeled) here rather than loaded
         self._ints: dict[int, int] = {}  # intern table: equal packed entries share one int
         self._unguarded: set[int] = set()  # loaded, not read yet: guarded on first read
         self._top = 1  # largest coefficient in any packed column so far
@@ -104,7 +111,12 @@ class KLCache:
     def _compute(self, i: int) -> dict[int, int]:
         if i == 0:
             return {0: 1}
-        right = self.system.right_index[self.system.word(self.system.elements()[i])[-1] - 1]
+        els = self.system.elements()
+        for g in self.system.index_symmetries:  # h_{x,w} = h_{g(x),g(w)}: relabel a column already read
+            col = self._columns.get(els[g[i]])
+            if col is not None and g[i] not in self._unguarded:
+                return dict(zip(map(g.__getitem__, col._packed), col._packed.values()))
+        right = self.system.right_index[self.system.word(els[i])[-1] - 1]
         colv = self._packed_column(right[i])
 
         # C_v C_s on pairs y < ys: h_y = h_{ys,v} + q h_{y,v} and

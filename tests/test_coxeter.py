@@ -249,3 +249,25 @@ def test_generator_rejects_an_index_outside_the_rank(group):
     for i in (0, -1, s.rank + 1):
         with pytest.raises(ValueError, match="invalid generator index"):
             s.generator(i)
+
+
+# w0 is central in B(n), D(n) for even n and I2(m) for even m: there the
+# conjugation is trivial, its composite with the inverse is the inverse, and
+# only the inverse is left (in A1 not even that)
+_SYMMETRY_GROUPS = {"A1": 0, "A2": 3, "A3": 3, "A4": 3, "A5": 3, "B2": 1, "B3": 1, "B4": 1, "D3": 3, "D4": 1, "D5": 3}
+_SYMMETRY_GROUPS.update({f"I2({m})": 1 if m % 2 == 0 else 3 for m in range(3, 13)})
+
+
+@pytest.mark.parametrize("group", sorted(_SYMMETRY_GROUPS))
+def test_symmetry_tables(group):
+    s = coxeter_system(group, allow_large=True)
+    els, w0 = s.elements(), s.longest_element()
+    inv, conj = s.inverse_index, s.conjugate_index
+    assert [els[k] for k in conj] == [s.multiply(s.multiply(w0, x), w0) for x in els]
+    assert {els[conj[s.index(s.generator(i))]] for i in s.generators} == {s.generator(i) for i in s.generators}
+    composite = [inv[k] for k in conj]
+    assert composite == [s.index(s.inverse(s.multiply(s.multiply(w0, x), w0))) for x in els]
+    for table in (inv, conj, composite):
+        assert [table[k] for k in table] == list(range(s.order))  # an involution
+    want = {0: [], 1: [inv], 3: [inv, conj, composite]}[_SYMMETRY_GROUPS[group]]
+    assert list(s.index_symmetries) == want

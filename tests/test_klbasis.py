@@ -336,3 +336,39 @@ def test_guard_rejects_a_digit_of_2_62():
     s = coxeter_system("A1")
     with pytest.raises(RuntimeError, match=r"KL column 1: .*coefficient >= 2\^62"):
         KLCache(s)._guard(1, {1: 1, 0: 1 << 126})
+
+
+@pytest.mark.parametrize("group", ["A5", "B4", "D4", "I2(8)"])
+def test_relabeled_columns_equal_the_recursion(group, monkeypatch):
+    # with the symmetry tables emptied every column comes from the recursion
+    s = coxeter_system(group)
+    plain_system = coxeter_system(group)
+    monkeypatch.setattr(plain_system, "index_symmetries", ())
+    guarded = []
+    cache, plain = KLCache(s), KLCache(plain_system)
+    monkeypatch.setattr(cache, "_guard", lambda i, *args: guarded.append(i) or KLCache._guard(cache, i, *args))
+    cache.fill()
+    plain.fill()
+    els = s.elements()
+    for w in els:
+        assert cache.kl_column(w)._packed == plain.kl_column(w)._packed
+    # a relabeled entry is its partner's int, and the recursion (with its
+    # guard) runs once per orbit of the inverse and the w0-conjugation, the
+    # identity's column aside
+    for g in s.index_symmetries:
+        for k, w in enumerate(els):
+            col, partner = cache.kl_column(w)._packed, cache.kl_column(els[g[k]])._packed
+            assert all(h is partner[g[x]] for x, h in col.items())
+    orbits = {frozenset([k, *(g[k] for g in s.index_symmetries)]) for k in range(1, s.order)}
+    assert sorted(guarded) == sorted(min(orbit) for orbit in orbits)
+    assert cache.computed == plain.computed == s.order
+
+
+@pytest.mark.parametrize("group, stored", [("A4", 11), ("B3", 10), ("D4", 15)])
+def test_a_lazy_column_reads_no_more_columns(group, stored):
+    # the counts are those of the recursion alone: a relabeling only ever
+    # stands in for a column that would have been computed
+    s = coxeter_system(group)
+    cache = KLCache(s)
+    cache.kl_column(s.longest_element())
+    assert len(cache._columns) == cache.computed == stored
