@@ -265,7 +265,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=["json", "csv"], default="json")
     common.add_argument("--output", help="write output to this path instead of stdout")
     common.add_argument("--cache-dir", help="directory for persistent KL caches (opt-in)")
-    common.add_argument("--threads", type=int, default=1, help="accepted; has no effect")
     common.add_argument(
         "--allow-large", action="store_true", help="lift the desk-scale group size bound"
     )

@@ -152,7 +152,8 @@ class CoxeterSystem:
             raise UnsupportedGroupError(f"{family}({param}) is below the supported range (min {lo})")
         if param > hi and not allow_large:
             raise UnsupportedGroupError(
-                f"{family}({param}) exceeds the desk-scale bound {family}({hi}); pass allow_large=True to override"
+                f"{family}({param}) exceeds the desk-scale bound {family}({hi}); "
+                "pass allow_large=True (library) or --allow-large (CLI) to override"
             )
         self.family = family
         self.param = param
@@ -219,7 +220,6 @@ class CoxeterSystem:
             s = word[order[k]][0] - 1
             inverse.append(ri[s][inverse[li[s][k]]])
         self.inverse_index = inverse  # inverse_index[k] is the index of elements()[k]^-1
-        self._inverse = {w: elements[k] for w, k in zip(elements, inverse)}
         self.identity = ident
 
     # -- basic queries ---------------------------------------------------
@@ -245,19 +245,9 @@ class CoxeterSystem:
         return self._elements[-1]
 
     def coxeter_matrix(self) -> tuple[tuple[int, ...], ...]:
-        """m(s,t) read off from the realization (order of the product st)."""
-        out = []
-        for i in self.generators:
-            row = []
-            for j in self.generators:
-                st = self.multiply(self.generator(i), self.generator(j))
-                m, x = 1, st
-                while x != self.identity:
-                    x = self.multiply(x, st)
-                    m += 1
-                row.append(m)
-            out.append(tuple(row))
-        return tuple(out)
+        """m(s,t), half the order of W_{s,t}: dihedral for s != t, and {e, s} on the diagonal."""
+        gens = self.generators
+        return tuple(tuple(len(self.subgroup_elements({s, t})) // 2 for t in gens) for s in gens)
 
     def generator(self, i: int) -> Element:
         return self.apply_right(self.identity, i)
@@ -279,7 +269,7 @@ class CoxeterSystem:
         return self._real.multiply(a, b)
 
     def inverse(self, w: Element) -> Element:
-        return self._inverse[w]
+        return self._elements[self.inverse_index[self._index[w]]]
 
     def apply_right(self, w: Element, i: int) -> Element:
         """w * s_i."""
@@ -412,15 +402,8 @@ class CoxeterSystem:
         join = self.coset_index(J)[1]
         if side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-        reps = tuple(map(self._elements.__getitem__, join))
-        if side == "left":
-            return reps
-        return tuple(sorted(map(self._inverse.__getitem__, reps), key=self._index.__getitem__))
-
-    def coset_table(self, J: Iterable[int]) -> dict[Element, tuple[Element, Element]]:
-        """w -> (u, v), the split of parabolic_factorize_left, for every w; a new dict per call."""
-        els = self._elements
-        return {els[k]: (els[u], els[v]) for k, (u, v) in enumerate(self.coset_index(J)[0])}
+        reps = join if side == "left" else sorted(map(self.inverse_index.__getitem__, join))
+        return tuple(map(self._elements.__getitem__, reps))
 
     def parabolic_factorize_left(self, w: Element, J: Iterable[int]) -> tuple[Element, Element]:
         """The unique (u, v) with w = u*v, u in W^J, v in W_J, lengths adding."""
@@ -430,8 +413,8 @@ class CoxeterSystem:
     def parabolic_factorize_right(self, w: Element, J: Iterable[int]) -> tuple[Element, Element]:
         """The unique (v, u) with w = v*u, v in W_J, u in ^JW, lengths adding:
         the inverses of the left split of w^-1."""
-        u, v = self.parabolic_factorize_left(self._inverse[w], J)
-        return self._inverse[v], self._inverse[u]
+        u, v = self.parabolic_factorize_left(self.inverse(w), J)
+        return self.inverse(v), self.inverse(u)
 
 
 # ---------------------------------------------------------------------------

@@ -298,9 +298,6 @@ def form(a: HeckeElement, b: HeckeElement) -> LaurentPoly:
     return unpack(total, K, off + b.off + sys.length(sys.longest_element()))
 
 
-_wrap = HeckeElement  # the constructor's former private name, still imported by tests
-
-
 def _add(d: dict[Element, LaurentPoly], w: Element, c: LaurentPoly):
     s = d.get(w)
     s = c if s is None else s + c

@@ -350,14 +350,11 @@ def kl_matrix(cache: KLCache) -> TransitionMatrix:
     return TransitionMatrix(sys, frozenset(), frozenset(sys.generators), order, cols)
 
 
-def transition_matrix(
-    cache: KLCache, I: Iterable[int], J: Iterable[int], *, replicate: bool = True, threads: int = 1
-) -> TransitionMatrix:
+def transition_matrix(cache: KLCache, I: Iterable[int], J: Iterable[int]) -> TransitionMatrix:
     """Matrix of TC^I-coordinates of the TC^J basis, for nested I inside J.
 
-    With replicate=True (default) one |W_J| x |W_J| block is computed and
-    copied across cosets; replicate=False expands every column directly
-    (slow path, kept for cross-checking the block structure).  threads: ignored.
+    The matrix is block-diagonal across W^J-cosets with one repeated block:
+    the |W_J| x |W_J| block is computed once and copied to every coset.
     """
     sys = cache.system
     I = sys.subset(I)
@@ -365,28 +362,23 @@ def transition_matrix(
     if not I <= J:
         raise ValueError(f"I must be contained in J, got I={sorted(I)}, J={sorted(J)}")
     order = sys.elements()
-    spec_i = HybridBasisSpec(I, "TC")
+    # column vp of the block: C_vp (vp in W_J) expanded in TC^I
+    split_i, join_i = sys.coset_index(I)
+    split_j, join_j = sys.coset_index(J)
+
+    def run(solver: _Solver) -> tuple[int, dict[int, dict[int, int]]]:
+        block = {}
+        for vp in join_j[0]:  # W_J
+            pieces = _pieces(split_i, solver.column(vp))
+            block[vp] = _solve_pieces(solver, pieces, join_i, cache._column_l1(vp))
+        return solver.K, block
+
+    K, block = _at_safe_width(cache, 1, run)
+    decode = decoder(K, 0)
     cols: dict[Element, Mapping[Element, LaurentPoly]] = {}
-    if replicate:
-        # column vp of the block: C_vp (vp in W_J) expanded in TC^I
-        split_i, join_i = sys.coset_index(I)
-        split_j, join_j = sys.coset_index(J)
-
-        def run(solver: _Solver) -> tuple[int, dict[int, dict[int, int]]]:
-            block = {}
-            for vp in join_j[0]:  # W_J
-                pieces = _pieces(split_i, solver.column(vp))
-                block[vp] = _solve_pieces(solver, pieces, join_i, cache._column_l1(vp))
-            return solver.K, block
-
-        K, block = _at_safe_width(cache, 1, run)
-        decode = decoder(K, 0)
-        for w, (u, vp) in zip(order, split_j):
-            row = join_j[u]
-            cols[w] = _Column(sys, {row[x]: d for x, d in block[vp].items()}, decode, K)
-    else:
-        spec_j = HybridBasisSpec(J, "TC")
-        cols = {w: expand_in_hybrid(cache, hybrid_element(cache, spec_j, w), spec_i) for w in order}
+    for w, (u, vp) in zip(order, split_j):
+        row = join_j[u]
+        cols[w] = _Column(sys, {row[x]: d for x, d in block[vp].items()}, decode, K)
     return TransitionMatrix(sys, I, J, order, cols)
 
 
@@ -445,13 +437,11 @@ def default_chain(system: CoxeterSystem) -> list[frozenset[int]]:
     return [frozenset(range(1, k + 1)) for k in range(system.rank + 1)]
 
 
-def factorize_chain(
-    cache: KLCache, chain: Iterable[Iterable[int]] | None = None, *, threads: int = 1
-) -> list[TransitionMatrix]:
+def factorize_chain(cache: KLCache, chain: Iterable[Iterable[int]] | None = None) -> list[TransitionMatrix]:
     """Transition factors M_i along a strictly increasing chain {} = J_0 < ... < J_k = S.
 
     The product M_1 * ... * M_k equals the KL matrix exactly; every factor
-    has entries in Z_{>=0}[q].  threads: ignored.
+    has entries in Z_{>=0}[q].
     """
     sys = cache.system
     if chain is None:

@@ -183,8 +183,8 @@ class KLCache:
         """Coefficient of q^1 in h_{z,w}."""
         return self.kl_poly(z, w).coeff(1)
 
-    def fill(self, threads: int = 1):
-        """Compute every column.  ``threads`` is accepted and ignored."""
+    def fill(self):
+        """Compute every column."""
         for w in self.system.elements():
             self.kl_column(w)
 

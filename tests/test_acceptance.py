@@ -34,7 +34,7 @@ from heckekl import (
     unit,
 )
 from heckekl.coxeter import coxeter_system
-from heckekl.hecke import _wrap
+from heckekl.hecke import HeckeElement as _wrap
 from heckekl.klbasis import KLCache
 from conftest import get_cache
 

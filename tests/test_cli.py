@@ -202,11 +202,16 @@ def test_byte_determinism(capsys):
 
 
 def test_threads_do_not_change_output(capsys):
-    a = run(capsys, "kl", "--group", "B2")
-    b = run(capsys, "kl", "--group", "B2", "--threads", "4")
-    assert a[1] == b[1]
-    c = run(capsys, "factorize", "--group", "A3", "--threads", "2")
-    assert c[0] == 0
+    """--threads is no longer an option: argparse rejects it as a usage error."""
+    code, out, err = run(capsys, "kl", "--group", "B2", "--threads", "4")
+    assert code == 2 and out == ""
+    assert "error: unrecognized arguments: --threads 4" in err
+
+
+def test_size_bound_names_the_cli_flag(capsys):
+    code, out, err = run(capsys, "kl", "--group", "A6")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "--allow-large" in err
 
 
 def test_output_file(tmp_path, capsys):

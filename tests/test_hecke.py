@@ -15,7 +15,7 @@ from heckekl import (
     t_basis,
     unit,
 )
-from heckekl.hecke import _wrap
+from heckekl.hecke import HeckeElement as _wrap
 
 
 def rand_element(s, rng, size=3):

@@ -179,7 +179,7 @@ def test_fill_and_threads():
     seq = KLCache(s)
     seq.fill()
     par = KLCache(s)
-    par.fill(threads=4)
+    par.fill()
     for w in s.elements():
         assert seq.kl_column(w) == par.kl_column(w)
     assert len(seq._columns) == s.order

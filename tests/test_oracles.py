@@ -23,7 +23,7 @@ from heckekl import (
     translation_identity_holds,
     type_a_restriction_formula,
 )
-from heckekl.hecke import _wrap
+from heckekl.hecke import HeckeElement as _wrap
 from conftest import get_cache
 
 

@@ -19,7 +19,8 @@ from heckekl import (
     t_basis,
 )
 from heckekl import hecke
-from heckekl.hecke import _add, _check_exact, _wrap, form
+from heckekl.hecke import HeckeElement as _wrap
+from heckekl.hecke import _add, _check_exact, form
 from heckekl.laurent import ONE, ZERO, ExactnessError, pack, unpack
 from conftest import get_cache
 
@@ -313,11 +314,9 @@ def _descent_walk(s, w, J):
 def test_coset_table_matches_the_descent_walk():
     s = coxeter_system("B3")
     for J in _subsets(s):
-        table = s.coset_table(J)
-        assert len(table) == s.order
         for w in s.elements():
-            u, v = table[w]
-            assert (u, v) == _descent_walk(s, w, J) == s.parabolic_factorize_left(w, J)
+            u, v = s.parabolic_factorize_left(w, J)
+            assert (u, v) == _descent_walk(s, w, J)
             assert s.multiply(u, v) == w and s.length(u) + s.length(v) == s.length(w)
             assert not s.right_descents(u) & J and set(s.word(v)) <= J
 
@@ -325,7 +324,7 @@ def test_coset_table_matches_the_descent_walk():
 def test_coset_table_validates_J():
     s = coxeter_system("A2")
     with pytest.raises(ValueError, match="outside"):
-        s.coset_table({3})
+        s.parabolic_factorize_left(s.identity, {3})
 
 
 @pytest.mark.parametrize("group", ["A3", "B3", "I2(7)"])

@@ -21,7 +21,8 @@ from heckekl import (
 )
 from heckekl import hybrid
 from heckekl.cli import main
-from heckekl.hecke import _wrap, form
+from heckekl.hecke import HeckeElement as _wrap
+from heckekl.hecke import form
 from heckekl.hybrid import TransitionMatrix
 from heckekl.laurent import ZERO, ExactnessError
 from conftest import get_cache
