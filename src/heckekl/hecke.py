@@ -17,11 +17,11 @@ An element is stored packed (laurent.pack: p is (q^off p)(2^K)): one dict
 {element index: int} at a digit width K, off minus its least exponent, and a
 bound on its L1 norm.  ``.terms`` is its read-only element-keyed view
 (_Column, as for KL columns and transition matrices); a KL element is its
-column's view, not a copy.  Product, bar, psi and restrict read and give
-packed dicts, and form reads them: an operand at the call's K is used as
-stored, an offset change is an exact shift, and only an operand at another K
-is repacked, once per distinct value.  Equal elements at one K have equal
-dicts.
+column's view over the dict that view keeps, not a copy.  Product, bar, psi
+and restrict read and give packed dicts, and form reads them: an operand at
+the call's K is used as stored, an offset change is an exact shift, and only
+an operand at another K is repacked, once per distinct value.  Equal
+elements at one K have equal dicts.
 
 K = laurent.width(B), B bounding the L1 norm of every coefficient a call
 forms: each T_s step at most triples a norm, so B = |a|_1 3^l |b|_1 for a*b
@@ -37,7 +37,7 @@ shifted operands checks their low digits (ExactnessError if one was not 0).
 from __future__ import annotations
 
 from collections.abc import Mapping
-from functools import reduce
+from functools import cache, reduce
 from heapq import heapify, heappop, heappush
 from operator import or_
 from typing import Iterable
@@ -52,16 +52,41 @@ class MixedSystemError(ValueError):
 
 
 class _Column(Mapping):
-    """Read-only view x -> polynomial of a packed dict {index: int} at width K
-    and offset off; reads decode through polys, a laurent.decoder(K, off), so
-    equal entries are one object.  KL columns are views at (64, 0) over
-    KLCache._polys.  Views over one element order compare packed (_same)."""
+    """Read-only view x -> polynomial of a packed column at width K and offset
+    off: a dict {index: int}, or (KL columns) an array of rows and an array of
+    ids, the entry at rows[k] being values[ids[k]].  Over arrays, the dict is
+    built on the first random access (get, [], _packed) and kept; iterating
+    readers (_pairs, _ints, items) build none.  Reads decode through polys, a
+    laurent.decoder(K, off), so equal entries are one object.  KL columns are
+    views at (64, 0) over KLCache._polys.  Views over one element order
+    compare packed (_same)."""
 
-    __slots__ = ("_packed", "_polys", "_els", "_index", "K", "off")
+    __slots__ = ("_rows", "_ids", "_values", "_dict", "_polys", "_els", "_index", "K", "off")
 
-    def __init__(self, system: CoxeterSystem, packed: dict[int, int], polys, K: int = 64, off: int = 0):
-        self._packed, self._polys, self.K, self.off = packed, polys, K, off
+    def __init__(self, system: CoxeterSystem, packed, polys, K: int = 64, off: int = 0, ids=None, values=None):
+        # packed: the dict, whose keys are then the rows; or, with ids and values, the array of rows
+        self._rows, self._ids, self._values = packed, ids, values
+        self._dict = packed if ids is None else None
+        self._polys, self.K, self.off = polys, K, off
         self._els, self._index = system.elements(), system._index
+
+    @property
+    def _packed(self) -> dict[int, int]:
+        """The packed dict {index: int}."""
+        if self._dict is None:
+            self._dict = dict(self._pairs())
+        return self._dict
+
+    def _ints(self) -> Iterable[int]:
+        """The packed entries, in row order (from the dict once there is one:
+        it reads faster)."""
+        d = self._dict
+        return d.values() if d is not None else map(self._values.__getitem__, self._ids)
+
+    def _pairs(self) -> Iterable[tuple[int, int]]:
+        """(index, packed entry) pairs, in row order."""
+        d = self._dict
+        return d.items() if d is not None else zip(self._rows, self._ints())
 
     def __getitem__(self, x: Element) -> LaurentPoly:
         return self._polys(self._packed[self._index[x]])
@@ -71,13 +96,13 @@ class _Column(Mapping):
         return default if h is None else self._polys(h)
 
     def __iter__(self):
-        return map(self._els.__getitem__, self._packed)
+        return map(self._els.__getitem__, self._rows)
 
     def __len__(self) -> int:
-        return len(self._packed)
+        return len(self._rows)
 
     def items(self):  # one C-level pass, not a __getitem__ per key
-        return dict(zip(self, map(self._polys, self._packed.values()))).items()
+        return dict(zip(self, map(self._polys, self._ints()))).items()
 
     def __eq__(self, other):
         if isinstance(other, _Column) and self._els is other._els:
@@ -141,6 +166,10 @@ class HeckeElement:
 
     def __reduce__(self):  # a view holds a decoder, which does not pickle
         return _element, (self.system, self._packed, self.K, self.off, self._l1)
+
+    def _pairs(self):
+        """(index, packed coefficient) pairs, as for a view (_Column._pairs)."""
+        return self._packed.items()
 
     def _exact_l1(self) -> int:
         """|self|_1, each distinct value decoded once; it replaces the carried bound."""
@@ -344,9 +373,9 @@ def _packed_at(h, K: int, off: int) -> dict[int, int]:
     h.off: as stored, shifted, or at another K repacked once per distinct value."""
     if h.K == K:
         shift = K * (off - h.off)
-        return {x: P << shift for x, P in h._packed.items()} if shift else h._packed
-    repacked = {P: pack(unpack(P, h.K, h.off), K, off) for P in set(h._packed.values())}
-    return {x: repacked[P] for x, P in h._packed.items()}
+        return {x: P << shift for x, P in h._pairs()} if shift else h._packed
+    repack = cache(lambda P: pack(unpack(P, h.K, h.off), K, off))
+    return {x: repack(P) for x, P in h._pairs()}
 
 
 def _width(a: HeckeElement, b: HeckeElement | None = None) -> tuple[int, int]:

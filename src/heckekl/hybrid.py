@@ -51,7 +51,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
-from itertools import repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping
 
@@ -107,7 +106,7 @@ def expand_in_hybrid(
     bound = h._l1 if width(h._l1) <= h.K else h._exact_l1()  # bounds every |h_x|_1
 
     def run(solver: _Solver) -> dict[Element, LaurentPoly]:
-        pieces = _pieces(split, _packed_at(h, solver.K, h.off))  # h.off: every exponent + off >= 0
+        pieces = _pieces(split, _packed_at(h, solver.K, h.off).items())  # h.off: every exponent + off >= 0
         decode = decoder(solver.K, h.off)
         return {els[x]: decode(d) for x, d in _solve_pieces(solver, pieces, join, bound).items()}
 
@@ -134,7 +133,7 @@ def restriction_coeffs(
     ui, wi, els = sys.index(u), sys.index(w), sys.elements()
 
     def run(solver: _Solver) -> dict[Element, LaurentPoly]:
-        tvec = {split[x][1]: h for x, h in solver.column(wi).items() if split[x][0] == ui}
+        tvec = {split[x][1]: h for x, h in solver.column(wi) if split[x][0] == ui}
         decode = decoder(solver.K, 0)
         return {els[v]: decode(d) for v, d in solver.solve(tvec, cache._column_l1(wi)).items()}
 
@@ -149,17 +148,17 @@ def restriction_coeffs(
 class _Solver:
     """Back-substitution against the KL columns packed at digit width K.
 
-    At the KL kernel's own width the columns are KLCache._packed_column
-    (which reads every column through kl_column); at a wider K
-    they are repacked for this call only.  worst is the largest L1 bound of
+    column(i) gives the (index, packed entry) pairs of column i, read through
+    kl_column: at the KL kernel's own width from the column's arrays, at a
+    wider K repacked for this call only.  worst is the largest L1 bound of
     any value popped so far.
     """
 
     def __init__(self, cache: KLCache, K: int):
         self.K, self.worst, self._cache, els = K, 0, cache, cache.system.elements()
-        self.column = cache._packed_column
+        self.column = lambda i: cache.kl_column(els[i])._pairs()
         if K != _KL_WIDTH:
-            self.column = functools.cache(lambda i: _packed_at(cache.kl_column(els[i]), K, 0))
+            self.column = functools.cache(lambda i: _packed_at(cache.kl_column(els[i]), K, 0).items())
 
     def solve(self, tvec: dict[int, int], bound: int) -> dict[int, int]:
         """Solve sum_v d_v C_v = sum_v tvec[v] T_v inside a parabolic subgroup,
@@ -187,7 +186,7 @@ class _Solver:
                 continue
             out[v] = c
             bl = b * l1(v)
-            for x, h in column(v).items():
+            for x, h in column(v):
                 if x == v:
                     continue
                 r = work.get(x)
@@ -219,10 +218,11 @@ def _at_safe_width(cache: KLCache, bound: int, run):
         K = wider
 
 
-def _pieces(split: list[tuple[int, int]], col: dict[int, int]) -> dict[int, dict[int, int]]:
-    """u -> {v: col[uv]}, the part of a packed column on each coset uW_J (split: coset_index(J)[0])."""
+def _pieces(split: list[tuple[int, int]], col: Iterable[tuple[int, int]]) -> dict[int, dict[int, int]]:
+    """u -> {v: h_uv}, the part on each coset uW_J of a packed column given as
+    (index, entry) pairs (split: coset_index(J)[0])."""
     pieces: dict[int, dict[int, int]] = {}
-    for x, h in col.items():
+    for x, h in col:
         u, v = split[x]
         pieces.setdefault(u, {})[v] = h
     return pieces
@@ -293,8 +293,8 @@ class TransitionMatrix:
 def sparse_entries(order: Iterable, columns: Iterable[tuple]) -> list[list]:
     """[row, column, poly JSON] for each entry of columns, (column key, {row key:
     poly}) pairs, keys numbered by their place in order, sorted by column, then
-    row; a view over order (_Column) is read by index, its packed keys being the
-    rows.  Entries holding one polynomial object share one JSON dict, so treat
+    row; a view over order (_Column) is read by index, its packed rows being the
+    row numbers.  Entries holding one polynomial object share one JSON dict, so treat
     the result as read-only; each object is encoded once."""
     idx = {w: k for k, w in enumerate(order)}
     encoded: dict[int, tuple] = {}  # id(p) -> (p, its JSON dict): holding p keeps its id unique
@@ -305,9 +305,8 @@ def sparse_entries(order: Iterable, columns: Iterable[tuple]) -> list[list]:
     out: list[list] = []
     for w, col in sorted(((idx[w], col) for w, col in columns), key=itemgetter(0)):
         if isinstance(col, _Column) and col._els is order:
-            rows = sorted(col._packed)
-            polys = map(col._polys, map(col._packed.__getitem__, rows))
-            out += map(list, zip(rows, repeat(w), map(enc, polys)))
+            polys = col._polys
+            out += [[x, w, enc(polys(P))] for x, P in sorted(col._pairs())]
         else:
             out += sorted([idx[x], w, enc(p)] for x, p in col.items())
     return out
@@ -399,7 +398,7 @@ def matmul(a: TransitionMatrix, b: TransitionMatrix) -> TransitionMatrix:
     # read from la, lb: decoder -> {packed int: L1 norm of its entry}
     la, lb = ({d: {h: d(h).l1() for h in hs} for d, hs in _entries(v.values()).items()} for v in (va, vb))
     bound = max((max(m.values(), default=0) for m in la.values()), default=0) * max(
-        (sum(map(lb[col._polys].__getitem__, col._packed.values())) for col in vb.values()), default=0
+        (sum(map(lb[col._polys].__getitem__, col._ints())) for col in vb.values()), default=0
     )
     K = width(bound)
     if bound >= 1 << K - 2:
@@ -428,7 +427,7 @@ def _entries(views: Iterable[_Column]) -> dict[Callable, set[int]]:
     each distinct entry is one (decoder, int) pair, so it is decoded once."""
     out: dict[Callable, set[int]] = {}
     for c in views:
-        out.setdefault(c._polys, set()).update(c._packed.values())
+        out.setdefault(c._polys, set()).update(c._ints())
     return out
 
 

@@ -29,12 +29,18 @@ coefficient of C_v C_s at y is h_{ys,v} + (h_{y,v} >> 64 if ys < y, else
 h_{y,v} << 64); mu is digit 1.  A guard raises ExactnessError naming the
 column unless its diagonal is 1, each >> 64 was exact, (2 + sum of mu) *
 (largest coefficient so far) < 2^62 (so decoding is unique) and all entries
-are >= 0 with digits < 2^62; loaded columns pass it when first read.  A
-relabeled column holds its partner's ints, so it needs no guard.  Each
-column is one packed dict {index: int}, its only copy: compute, read, load
-and save all use it, kl_column hands out a read-only Mapping view of it that
-decodes through one intern table, and kl_element is a Hecke element over that
-view.  Equal entries are one int (one setdefault table).
+are >= 0 with digits < 2^62; loaded columns pass it when first read (load
+does not pack an entry of degree above l(w0), so its column fails then).  A
+relabeled column holds its partner's ints, so it needs no guard.
+
+Each column is stored as two arrays: its rows (element indices) and, per
+row, an id into the cache's one list of distinct packed entries, so equal
+entries are one int.  Compute, relabel, load and save all use this form, and
+a relabeled column is new rows over its partner's id array.  kl_column hands
+out a read-only Mapping view over the arrays that decodes through one intern
+table.  Readers that iterate (the recursion, save, the hybrid layer) read
+the arrays; the view builds a dict {index: int} on the first random access
+and keeps it, and kl_element is a Hecke element over that dict.
 
 Also here: the Bruhat-interval element sum_{y <= w} q^{l(w)-l(y)} T_y, which
 coincides with C_w exactly for rationally smooth w (in type A: for the
@@ -47,6 +53,7 @@ import gzip
 import io
 import json
 import os
+from array import array
 from collections.abc import Mapping
 from functools import cache, reduce
 from itertools import chain, combinations
@@ -64,17 +71,45 @@ _MASK = (1 << _DIGIT) - 1
 _LIMIT = 1 << 62  # every packed coefficient stays below this
 
 
+class _Ids(dict):
+    """The id table: packed entry -> its place in ``entries``, the one list of
+    distinct entries.  Looking up an entry not seen yet appends it."""
+
+    __slots__ = ("entries",)
+
+    def __init__(self):
+        self.entries: list[int | None] = []  # None: a loaded entry that did not pack
+
+    def __missing__(self, h: int | None) -> int:
+        self[h] = k = len(self.entries)
+        self.entries.append(h)
+        return k
+
+
+def _code(n: int) -> str:
+    """The array type code for the integers 0 .. n-1."""
+    return "H" if n <= 1 << 16 else "L"
+
+
+def _array(code: str, items: Iterable[int]) -> array:
+    return array(code, list(items))  # from a list, array() fills "H" about twice as fast
+
+
 class KLCache:
-    """Per-system store of KL columns h_{.,w}, filled on demand: one packed dict
-    per column, the only copy of it, behind its read-only view in ``_columns``.
-    A column is computed by the recursion, or relabeled from a partner
-    already read (stored, and not a loaded column still unguarded)."""
+    """Per-system store of KL columns h_{.,w}, filled on demand.  Each column is
+    two arrays behind its read-only view in ``_columns``: its rows and, per
+    row, an id into ``_values``, the one list of distinct packed entries of
+    the cache.  A column is computed by the recursion, or relabeled from a
+    partner already read (stored, and not a loaded column still unguarded):
+    new rows, the partner's id array."""
 
     def __init__(self, system: CoxeterSystem):
         self.system = system
         self._columns: dict[Element, _Column] = {}
         self.computed = 0  # columns computed (or relabeled) here rather than loaded
-        self._ints: dict[int, int] = {}  # intern table: equal packed entries share one int
+        self._ids = _Ids()  # packed entry -> id; _values[id] is that entry's one int
+        self._values = self._ids.entries
+        self._row_code = _code(system.order)
         self._unguarded: set[int] = set()  # loaded, not read yet: guarded on first read
         self._top = 1  # largest coefficient in any packed column so far
         self._polys = decoder(_DIGIT, 0)  # intern table: h -> its one LaurentPoly
@@ -86,38 +121,49 @@ class KLCache:
         """The read-only map x -> h_{x,w}; absent keys are zero."""
         col = self._columns.get(w)
         if col is None:
-            col = self._columns[w] = _Column(self.system, self._compute(self.system.index(w)), self._polys)
+            col = self._columns[w] = self._compute(self.system.index(w))
             self.computed += 1
         elif self._unguarded and (i := self.system.index(w)) in self._unguarded:
-            if None in col._packed.values():  # load could not pack an entry
-                self._fail(i, "a loaded entry is not in Z[q] with coefficients in [0, 2^62)")
-            self._guard(i, col._packed)
+            packed = dict(col._pairs())  # for the guard only: the column keeps its arrays
+            if None in packed.values():  # load could not pack an entry
+                self._fail(i, "a loaded entry is not in Z[q] with degree <= l(w0) and coefficients in [0, 2^62)")
+            self._guard(i, packed)
             self._unguarded.remove(i)
         return col
 
     def _packed_column(self, i: int) -> dict[int, int]:
-        """Packed column i, read through kl_column, so a missing column shows
-        up as extra kl_column calls."""
+        """Column i as a dict {index: int}, built by its view on first use and
+        kept; read through kl_column, so a missing column shows up as extra
+        kl_column calls."""
         return self.kl_column(self.system.elements()[i])._packed
 
     def _column_l1(self, i: int) -> int:
         """The largest L1 norm of an entry of column i (the hybrid layer's width bound)."""
         l1 = self._l1.get(i)
         if l1 is None:
-            polys = self._polys
-            l1 = self._l1[i] = max(polys(h).l1() for h in set(self._packed_column(i).values()))
+            polys, col = self._polys, self.kl_column(self.system.elements()[i])
+            l1 = self._l1[i] = max(polys(h).l1() for h in set(col._ints()))
         return l1
 
-    def _compute(self, i: int) -> dict[int, int]:
+    def _store(self, col: dict[int, int]) -> _Column:
+        """A view over col as arrays: its rows, and the ids of its entries (the
+        id table takes the ones it has not seen)."""
+        code = _code(len(self._values) + len(col))  # room for every id the column may add
+        return self._view(_array(self._row_code, col), _array(code, map(self._ids.__getitem__, col.values())))
+
+    def _view(self, rows: array, ids: array) -> _Column:
+        return _Column(self.system, rows, self._polys, ids=ids, values=self._values)
+
+    def _compute(self, i: int) -> _Column:
         if i == 0:
-            return {0: 1}
+            return self._store({0: 1})
         els = self.system.elements()
         for g in self.system.index_symmetries:  # h_{x,w} = h_{g(x),g(w)}: relabel a column already read
             col = self._columns.get(els[g[i]])
             if col is not None and g[i] not in self._unguarded:
-                return dict(zip(map(g.__getitem__, col._packed), col._packed.values()))
+                return self._view(_array(self._row_code, map(g.__getitem__, col._rows)), col._ids)
         right = self.system.right_index[self.system.word(els[i])[-1] - 1]
-        colv = self._packed_column(right[i])
+        colv = dict(self.kl_column(els[right[i]])._pairs())  # the one random-access read: colv.get(ys)
 
         # C_v C_s on pairs y < ys: h_y = h_{ys,v} + q h_{y,v} and
         # h_ys = h_{y,v} + q^-1 h_{ys,v}; ys <= v whenever ys < y <= v
@@ -131,22 +177,22 @@ class KLCache:
                 out[y] = hb + (h << _DIGIT)
                 out[ys] = h + (hb >> _DIGIT)
 
-        # corrections: - mu(z, v) C_z over z < v with zs < z
-        mu_sum = 0
+        # corrections: - mu(z, v) C_z over z < v with zs < z, read by id: mu is
+        # most often 1, else each distinct entry of C_z is multiplied once
+        mu_sum, values = 0, self._values
         for z, h in colv.items():
             m = right[z] < z and (h >> _DIGIT) & _MASK
             if m:
                 mu_sum += m
+                col = self.kl_column(els[z])
+                by_id = values if m == 1 else {k: m * values[k] for k in set(col._ids)}
                 try:  # x lies in [e, z], inside out's support, unless a loaded column is damaged
-                    for x, hz in self._packed_column(z).items():
-                        out[x] -= m * hz
+                    for x, k in zip(col._rows, col._ids):
+                        out[x] -= by_id[k]
                 except KeyError:
                     self._fail(i, "a loaded column has an entry outside the Bruhat interval")
         self._guard(i, out, low, mu_sum)
-        intern = self._ints.setdefault
-        for x, h in out.items():
-            out[x] = intern(h, h)
-        return out
+        return self._store(out)
 
     def _guard(self, i: int, col: dict[int, int], low: int = 0, mu_sum: int = 0):
         """Raise unless packed column i decodes exactly (module docstring)."""
@@ -171,9 +217,12 @@ class KLCache:
     # -- public accessors ------------------------------------------------
 
     def kl_element(self, w: Element) -> HeckeElement:
-        """C_w as a Hecke element over the column's own view: no copy."""
-        col, i = self.kl_column(w), self.system._index[w]
-        return _element(self.system, col._packed, _DIGIT, 0, len(col) * self._column_l1(i), col)  # |C_w|_1 bound
+        """C_w as a Hecke element over the column's own view and the dict that
+        view keeps: no copy, and no new dict after the first call."""
+        i = self.system._index[w]
+        packed = self._packed_column(i)
+        l1 = len(packed) * self._column_l1(i)  # bounds |C_w|_1
+        return _element(self.system, packed, _DIGIT, 0, l1, self._columns[w])
 
     def kl_poly(self, x: Element, w: Element) -> LaurentPoly:
         """h_{x,w}; the zero polynomial iff x is not <= w."""
@@ -194,19 +243,19 @@ class KLCache:
         """Dump all cached columns as gzipped JSON keyed by canonical words,
         atomically (os.replace of a file written in the same directory).  A
         loaded column that did not pack is left out: the next run recomputes it."""
-        sys, index = self.system, self.system._index
+        sys, index, values = self.system, self.system._index, self._values
         words = [format_word(sys.word(w)) for w in sys.elements()]
         stored = sorted(  # index order is canonical order
-            (index[w], col._packed)
+            (index[w], col)
             for w, col in self._columns.items()
-            if index[w] not in self._unguarded or None not in col._packed.values()
+            if index[w] not in self._unguarded or None not in col._ints()
         )
-        entries = set(chain.from_iterable(c.values() for _, c in stored))
-        encoded = {h: self._polys(h).to_json_obj() for h in entries}  # each distinct entry once
+        used = set(chain.from_iterable(c._ids for _, c in stored))
+        encoded = {k: self._polys(values[k]).to_json_obj() for k in used}  # each distinct entry once
         obj = {
             "format": _CACHE_FORMAT,
             "group": sys.type_string,
-            "columns": {words[i]: {words[x]: encoded[h] for x, h in sorted(c.items())} for i, c in stored},
+            "columns": {words[i]: {words[x]: encoded[k] for x, k in sorted(zip(c._rows, c._ids))} for i, c in stored},
         }
         # write a file beside path, then move it into place: a failed save
         # leaves any previous file as it was
@@ -226,7 +275,10 @@ class KLCache:
     @classmethod
     def load(cls, path, system: CoxeterSystem) -> "KLCache":
         with gzip.open(path, "rt", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            try:
+                obj = json.load(fh)
+            except RecursionError:  # the parser's own limit, on deeply nested arrays or objects
+                raise ValueError("cache file is not valid JSON") from None
         if type(obj) is not dict:
             raise ValueError("cache file is not a JSON object")
         if obj.get("format") != _CACHE_FORMAT or type(obj["format"]) is not int:  # true == 1.0 == 1
@@ -239,16 +291,17 @@ class KLCache:
         out = cls(system)
         els = system.elements()
         index = cache(lambda text: system.index(system.element_from_word(parse_word(text))))
-        packs: dict[tuple, int | None] = {}  # one pack per distinct JSON polynomial; None: not packable
+        top = system.length(system.longest_element())  # no KL polynomial has a higher degree
+        packs: dict[tuple, int] = {}  # the id of each distinct JSON polynomial's pack (of None: not packable)
 
-        def packed(obj) -> int | None:
+        def entry_id(obj) -> int:
             key = tuple(obj.items())
             if key not in packs:
-                p, h = LaurentPoly.from_json_obj(obj), None
-                if all(e >= 0 and 0 <= c < _LIMIT for e, c in p.items()):  # in Z[q], digits < 2^62
-                    h = pack(p, _DIGIT, 0)
-                    h = out._ints.setdefault(h, h)
-                packs[key] = h
+                p = LaurentPoly.from_json_obj(obj)
+                # in Z[q] with digits < 2^62 and degree <= l(w0), which also keeps
+                # the guard quick: its digit loop is quadratic in the degree
+                ok = all(0 <= e <= top and 0 <= c < _LIMIT for e, c in p.items())
+                packs[key] = out._ids[pack(p, _DIGIT, 0) if ok else None]
             return packs[key]
 
         for wtext, col in columns.items():
@@ -257,7 +310,8 @@ class KLCache:
             if not {*map(type, polys)} <= {dict} or not {*map(type, coeffs)} <= {int, str}:
                 raise ValueError(f"cache column {wtext!r}: an entry is not an object of ints or decimal strings")
             i = index(wtext)
-            out._columns[els[i]] = _Column(system, {index(xtext): packed(p) for xtext, p in col.items()}, out._polys)
+            ids = {index(xtext): entry_id(p) for xtext, p in col.items()}  # row -> id of its entry
+            out._columns[els[i]] = out._view(_array(out._row_code, ids), _array(_code(len(out._values)), ids.values()))
             out._unguarded.add(i)
         return out
 

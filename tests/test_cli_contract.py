@@ -49,8 +49,10 @@ def _filled_cache_file(tmp_path, capsys):
         (lambda data: data[: len(data) // 2], "ended before the end-of-stream"),  # EOFError
         (lambda data: b"not a gzip file", "Not a gzipped file"),  # gzip.BadGzipFile, an OSError
         (lambda data: _overwrite(data, data.index(b"\0", 10) + 1), "invalid block type"),  # zlib.error
+        # json's parser raises RecursionError past its nesting limit
+        (lambda data: gzip.compress(b"[" * 200000 + b"]" * 200000), "cache file is not valid JSON"),
     ],
-    ids=["truncated", "not-gzip", "bad-deflate"],
+    ids=["truncated", "not-gzip", "bad-deflate", "deeply-nested"],
 )
 def test_unreadable_cache_file_is_a_clean_error(tmp_path, capsys, damage, message):
     cache_dir, path = _filled_cache_file(tmp_path, capsys)
@@ -112,11 +114,12 @@ def _with(obj, keys, value):
         lambda obj: _with(obj, ["columns", "1", ""], {"1": None}),
         lambda obj: _with(obj, ["format"], True),
         lambda obj: _with(obj, ["format"], 1.0),
+        lambda obj: _with(obj, ["columns", "1", ""], {"30000": 1}),  # above l(w0) = 3: not packed
     ],
     ids=[
         "list-entry", "list-column", "list-top-level", "no-columns", "columns-list",
         "float-coefficient", "fractional-coefficient", "bool-coefficient", "list-coefficient",
-        "null-coefficient", "bool-format", "float-format",
+        "null-coefficient", "bool-format", "float-format", "huge-exponent",
     ],
 )
 def test_malformed_cache_file_is_a_clean_error(tmp_path, capsys, edit):

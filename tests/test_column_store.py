@@ -1,5 +1,6 @@
 """One store per KL column: save writes the packed columns, byte for byte as
-before, and every stored column is a view of its packed dict."""
+before, every stored column is a view, and a KL column is two arrays (rows
+and value ids) until a reader needs random access."""
 
 import gzip
 import hashlib
@@ -7,7 +8,7 @@ import json
 
 import pytest
 
-from heckekl import KLCache, coxeter_system
+from heckekl import KLCache, coxeter_system, kl_matrix
 from heckekl.klbasis import _Column
 from heckekl.laurent import ExactnessError
 
@@ -75,3 +76,42 @@ def test_a_column_that_did_not_pack_is_not_written_back(tmp_path):
     reloaded = KLCache.load(path, s)
     assert reloaded.kl_column(s.generator(1)) == KLCache(s).kl_column(s.generator(1))
     assert reloaded.computed == 1
+
+
+def _holds_a_dict(col) -> bool:
+    """Whether a slot of the view other than the system's element -> index table holds a dict."""
+    return any(isinstance(getattr(col, name), dict) for name in _Column.__slots__ if name != "_index")
+
+
+@pytest.mark.parametrize("group", ["B3", "D4"])
+def test_filled_columns_hold_no_dict(group):
+    s = coxeter_system(group)
+    cache = KLCache(s)
+    cache.fill()
+    m = kl_matrix(cache)
+    assert len(cache._columns) == s.order
+    assert all(m.columns[w] is col for w, col in cache._columns.items())
+    assert not any(map(_holds_a_dict, cache._columns.values()))
+
+
+def test_kl_elements_share_one_packed_dict():
+    s = coxeter_system("D4")
+    cache = KLCache(s)
+    for w in (s.identity, s.generator(3), s.longest_element()):
+        first, second = cache.kl_element(w), cache.kl_element(w)
+        assert first._packed is second._packed is cache.kl_column(w)._packed
+        assert first.terms is second.terms is cache.kl_column(w)
+
+
+@pytest.mark.parametrize("group", ["A4", "B3", "D4"])
+def test_relabeled_columns_share_their_partners_ids(group):
+    s = coxeter_system(group)
+    cache = KLCache(s)
+    cache.fill()
+    els = s.elements()
+    assert s.index_symmetries
+    for g in s.index_symmetries:
+        for k, w in enumerate(els):
+            col, partner = cache.kl_column(w), cache.kl_column(els[g[k]])
+            assert col._ids is partner._ids
+            assert sorted(col._rows) == sorted(g[x] for x in partner._rows)

@@ -7,6 +7,7 @@ import gzip
 import io
 import json
 import tempfile
+import time
 from collections.abc import Mapping
 from functools import cache
 from pathlib import Path
@@ -85,7 +86,7 @@ def test_loaded_columns_are_views_of_the_packed_columns(tmp_path):
         assert col._packed is loaded._packed_column(s.index(w))
         assert col == get_cache("B3").kl_column(w)
     assert loaded.computed == 0
-    assert all(loaded._ints[h] is h for h in _packed_entries(loaded))
+    assert all(loaded._values[loaded._ids.get(h)] is h for h in _packed_entries(loaded))
 
 
 def test_kl_on_an_edited_diagonal_is_a_clean_error(tmp_path, capsys):
@@ -148,3 +149,64 @@ def test_damaged_cache_file_is_an_error_or_the_same_output(data):
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
     else:
         assert (code, out, err) == (0, _saved_a3()[1], "")
+
+
+# one edit of the decoded A3 file: the edited place holds _HOLE, which the
+# edit's JSON text then replaces, so that it may nest deeper than json.dumps goes
+_HOLE = "\0hole"
+_words = st.sampled_from(["", "1", "2,1", "1,2,3", "3,2,1,2", "4", "1,1", "x", "1,,2", " 1"])
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+_exponents = st.integers(-2, 8) | st.integers(40000, 70000)  # l(w0) = 6; unbounded, 60000 took seconds
+
+
+@st.composite
+def edited(draw):
+    obj = json.loads(gzip.decompress(_saved_a3()[0]))
+    columns = obj["columns"]
+    cw = draw(st.sampled_from(sorted(columns)))
+    col = columns[cw]
+    x = draw(st.sampled_from(sorted(col)))
+    kind = draw(st.sampled_from(["value", "coefficient", "exponent", "entry key", "column key", "nesting"]))
+    text = json.dumps(draw(_json))
+    if kind == "value":
+        col[x] = _HOLE
+    elif kind == "coefficient":
+        col[x] = {**col[x], draw(st.sampled_from(sorted(col[x]))): _HOLE}
+    elif kind == "exponent":
+        col[x] = {**col[x], str(draw(_exponents)): _HOLE}
+        text = json.dumps(draw(st.integers(0, 9) | st.just("1")))
+    elif kind == "entry key":
+        col[draw(_words)] = col.pop(x)
+    elif kind == "column key":
+        columns[draw(_words)] = columns.pop(cw)
+    else:  # wrap an entry, a column or the whole file in lists
+        depth = draw(st.integers(1, 3000))
+        where = draw(st.sampled_from(["entry", "column", "file"]))
+        inner = json.dumps(col[x] if where == "entry" else col if where == "column" else obj)
+        text = "[" * depth + inner + "]" * depth
+        if where == "entry":
+            col[x] = _HOLE
+        elif where == "column":
+            columns[cw] = _HOLE
+        else:
+            obj = _HOLE
+    return json.dumps(obj).replace(json.dumps(_HOLE), text)
+
+
+@settings(database=None, deadline=None, derandomize=True, max_examples=60)
+@given(edited())
+def test_edited_cache_file_is_an_error_or_an_output(text):
+    # an edit may also give a file the guard cannot tell from a true one
+    with tempfile.TemporaryDirectory() as d:
+        (Path(d) / "A3.klcache.gz").write_bytes(gzip.compress(text.encode()))
+        start = time.perf_counter()
+        code, out, err = _kl_a3(d)
+        assert time.perf_counter() - start < 2.0
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert code == 0 and err == "" and out

@@ -287,6 +287,20 @@ def test_guard_rejects_damaged_loaded_columns(tmp_path, column, entry, poly, mat
         loaded.kl_column(s.longest_element())
 
 
+def test_a_mu_above_1_is_subtracted_that_many_times(tmp_path):
+    # every mu the supported groups reach is 1; with h_{1,12} edited to 2q,
+    # mu(1, 12) = 2 and C_{121} = C_{12} C_1 - 2 C_1 is still the true C_{121}
+    s = coxeter_system("A2")
+
+    def edit(columns):
+        columns["1,2"]["1"] = {"1": 2}
+
+    loaded = _load_edited(tmp_path, s, ([1], [1, 2]), edit)
+    assert loaded.mu(s.generator(1), s.element_from_word([1, 2])) == 2
+    w0 = s.longest_element()
+    assert loaded.kl_column(w0) == KLCache(s).kl_column(w0)
+
+
 def test_guard_rejects_an_entry_outside_the_interval(tmp_path):
     # in A3, C_{121} = C_{12} C_1 - C_1 and s_3 is not below 121
     s = coxeter_system("A3")
