@@ -23,15 +23,19 @@ the call's K is used as stored, an offset change is an exact shift, and only
 an operand at another K is repacked, once per distinct value.  Equal
 elements at one K have equal dicts.
 
-K = laurent.width(B), B bounding the L1 norm of every coefficient a call
-forms: each T_s step at most triples a norm, so B = |a|_1 3^l |b|_1 for a*b
-and form(a, b) and |a|_1 3^l for bar(a), l the longest length in supp(a).  A
-result carries its B; where carried bounds would widen the digits, the exact
-norms are used.  The product is Horner over right descents: walking indices
+The product is Horner over right descents (_walk): walking indices
 downward, add T_t A_y into A_{yt} (t a right descent of y), A_y starting as
-a_y b once y is reached; the result is A_e.  Offsets keep every exponent of
-every intermediate >= 0, so each q^-1 step is an exact ``>> K``; an OR of the
+a_y b once y is reached; the result is A_e.  bar(a) is the same walk with
+bar(T_t) = T_t + (q - q^-1) for T_t, over the barred a_y and b = 1;
+form(a, b) is bar(a) dotted with b.  Offsets keep every exponent of every
+intermediate >= 0, so each q^-1 step is an exact ``>> K``; an OR of the
 shifted operands checks their low digits (ExactnessError if one was not 0).
+
+K = laurent.width(B), B bounding the L1 norm of every coefficient a call
+forms: each step at most triples a norm, so B = |a|_1 3^l |b|_1 for a*b and
+form(a, b) and |a|_1 3^l for bar(a), l the longest length in supp(a).  A
+result carries its B; where carried bounds would widen the digits, the exact
+norms are used.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ from functools import cache, reduce
 from heapq import heapify, heappop, heappush
 from operator import or_
 from typing import Iterable
-from weakref import WeakKeyDictionary
 
 from .coxeter import CoxeterSystem, Element
 from .laurent import ExactnessError, LaurentPoly, ZERO, decoder, pack, unpack, width
@@ -106,7 +109,7 @@ class _Column(Mapping):
 
     def __eq__(self, other):
         if isinstance(other, _Column) and self._els is other._els:
-            return _same(self, other)
+            return len(self) == len(other) and _same(self, other)
         return Mapping.__eq__(self, other)
 
     def __repr__(self) -> str:
@@ -149,7 +152,7 @@ class HeckeElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, HeckeElement):
             return NotImplemented
-        return self.system is other.system and _same(self, other)
+        return self.system is other.system and len(self._packed) == len(other._packed) and _same(self, other)
 
     def __repr__(self) -> str:
         if not self._packed:
@@ -212,40 +215,9 @@ class HeckeElement:
         sys = self.system
         if not self._packed or not other._packed:
             return HeckeElement(sys, {})
-        els = sys.elements()
         K, bound = _width(self, other)
-        off_a = self.off + sys.length(els[max(self._packed)])  # room for that many factors q^-1
-        seed = _packed_at(self, K, off_a)
-        b = list(_packed_at(other, K, other.off).items())
-
-        def start(y: int) -> dict[int, int]:  # A_y when y is first reached: a_y b, or 0
-            ca = seed.get(y)
-            return {} if ca is None else {w: ca * bw for w, bw in b}
-
-        acc: dict[int, dict[int, int]] = {}
-        heap = [-y for y in seed]
-        heapify(heap)
-        low = 0  # OR of the operands of >> K: its low digit must be 0
-        while True:
-            y = -heappop(heap)
-            row = acc.pop(y, None) or start(y)  # a row in acc is never empty
-            if not y:
-                break
-            t = sys.word(els[y])[-1]
-            yt = sys.right_index[t - 1][y]
-            dest = acc.get(yt)
-            if dest is None:
-                dest = acc[yt] = start(yt)
-                if yt not in seed:
-                    heappush(heap, -yt)
-            lt = sys.left_index[t - 1]
-            for w, c in row.items():
-                tw = lt[w]
-                dest[tw] = dest.get(tw, 0) + c
-                if tw < w:  # T_t T_w = T_tw + (q^-1 - q) T_w
-                    low |= c
-                    dest[w] = dest.get(w, 0) + (c >> K) - (c << K)
-        _check_exact(low, K)
+        off_a = self.off + _depth(self)  # room for that many factors q^-1
+        row = _walk(sys, _packed_at(self, K, off_a), _packed_at(other, K, other.off), K, _t_step)
         return _result(sys, row, K, off_a + other.off, bound)
 
     def __rmul__(self, other) -> "HeckeElement":
@@ -254,19 +226,17 @@ class HeckeElement:
     # -- involutions ---------------------------------------------------------
 
     def bar(self) -> "HeckeElement":
-        """Bar involution: semilinear over q -> q^-1, T_x -> (T_{x^-1})^-1."""
+        """Bar involution: semilinear over q -> q^-1, T_x -> (T_{x^-1})^-1;
+        the product's walk with bar(T_t) for T_t (module docstring)."""
         sys = self.system
         if not self._packed:
             return HeckeElement(sys, {})
         K, bound = _width(self)
-        cbar, off = _barred(self, K)
-        row = _bar_rows(sys, K)
-        out: dict[int, int] = {}
-        for x, P in self._packed.items():
-            c = cbar[P]
-            for y, t in row(x).items():
-                out[y] = out.get(y, 0) + c * t
-        return _result(sys, out, K, off + sys.length(sys.longest_element()), bound)
+        bars = {P: unpack(P, self.K, self.off).bar() for P in set(self._packed.values())}  # once per distinct value
+        off = _depth(self) - min(p.min_exp() for p in bars.values())  # room for that many factors q^-1
+        cbar = {P: pack(p, K, off) for P, p in bars.items()}
+        seed = {x: cbar[P] for x, P in self._packed.items()}
+        return _result(sys, _walk(sys, seed, {0: 1}, K, _bar_step), K, off, bound)
 
     def psi(self) -> "HeckeElement":
         """Linear anti-automorphism T_w -> T_{w^-1}, scalars fixed."""
@@ -307,24 +277,16 @@ def form(a: HeckeElement, b: HeckeElement) -> LaurentPoly:
     Z[q,q^-1], and adjoint to multiplication via omega:
     form(a*h, h2) == form(h, a.omega()*h2).
 
-    Packed as in bar, only on the support of b: sum over y in supp(a) of
-    bar(a_y) * sum over x in supp(b) of bar(T_y)[x] b_x.
+    Packed: bar(a) dotted with b on supp(b), at the width of a*b.
     """
     a._check(b)
-    sys = a.system
     if not a._packed or not b._packed:
         return ZERO
     K, _ = _width(a, b)
-    cbar, off = _barred(a, K)
-    bd = _packed_at(b, K, b.off)
-    row = _bar_rows(sys, K)
-    total = 0
-    for y, P in a._packed.items():
-        r = row(y)
-        s = sum(r.get(x, 0) * d for x, d in bd.items())
-        if s:
-            total += cbar[P] * s
-    return unpack(total, K, off + b.off + sys.length(sys.longest_element()))
+    abar = a.bar()
+    cbar = _packed_at(abar, K, abar.off)
+    total = sum(cbar.get(x, 0) * d for x, d in _packed_at(b, K, b.off).items())
+    return unpack(total, K, abar.off + b.off)
 
 
 def _add(d: dict[Element, LaurentPoly], w: Element, c: LaurentPoly):
@@ -362,18 +324,19 @@ def _result(system, packed: dict[int, int], K: int, off: int, l1: int) -> HeckeE
 
 
 def _same(a, b) -> bool:
-    """a == b for packed forms (elements or views) over one element order,
-    compared at the wider K and the larger offset."""
+    """a == b for packed forms (elements or views) of one length over one
+    element order, compared at the wider K and the larger offset."""
     K, off = max(a.K, b.K), max(a.off, b.off)
-    return len(a._packed) == len(b._packed) and _packed_at(a, K, off) == _packed_at(b, K, off)
+    return _packed_at(a, K, off) == _packed_at(b, K, off)
 
 
 def _packed_at(h, K: int, off: int) -> dict[int, int]:
     """h's packed dict (h an element or a view) at width K and offset off >=
-    h.off: as stored, shifted, or at another K repacked once per distinct value."""
+    h.off: as kept, shifted, or at another K repacked once per distinct value.
+    A view over arrays that keeps no dict gets one built from its pairs, not kept."""
     if h.K == K:
-        shift = K * (off - h.off)
-        return {x: P << shift for x, P in h._pairs()} if shift else h._packed
+        shift, d = K * (off - h.off), h._packed if isinstance(h, HeckeElement) else h._dict
+        return d if d is not None and not shift else {x: P << shift for x, P in h._pairs()}
     repack = cache(lambda P: pack(unpack(P, h.K, h.off), K, off))
     return {x: repack(P) for x, P in h._pairs()}
 
@@ -382,59 +345,71 @@ def _width(a: HeckeElement, b: HeckeElement | None = None) -> tuple[int, int]:
     """(K, B) for a*b or form(a, b), or for bar(a) without b (module docstring):
     from the carried norms, or the exact ones if those need a wider digit."""
     b = b or _ONE
-    grow = 3 ** a.system.length(a.system.elements()[max(a._packed)])
+    grow = 3 ** _depth(a)
     bound = grow * a._l1 * b._l1
     if width(bound) > max(a.K, b.K):
         bound = grow * a._exact_l1() * b._exact_l1()
     return width(bound), bound
 
 
-def _barred(h: HeckeElement, K: int) -> tuple[dict[int, int], int]:
-    """({P: bar of P packed at K} over h's distinct values, their offset)."""
-    bars = {P: unpack(P, h.K, h.off).bar() for P in set(h._packed.values())}
-    off = -min(p.min_exp() for p in bars.values())
-    return {P: pack(p, K, off) for P, p in bars.items()}, off
-
-
 _ONE = _element(None, {0: 1}, 64, 0, 1)  # |b|_1 = 1 in _width when there is no b
 
-_BAR_ROWS: "WeakKeyDictionary[CoxeterSystem, tuple[int, list]]" = WeakKeyDictionary()
+
+def _depth(h: HeckeElement) -> int:
+    """The longest length in supp(h): the most steps a walk from h takes."""
+    return h.system.length(h.system.elements()[max(h._packed)])
 
 
-def _bar_rows(system: CoxeterSystem, K: int):
-    """x -> bar(T_x) as {index: packed coefficient}, offset l(w0), width K.
+def _walk(system: CoxeterSystem, seed: dict[int, int], b: dict[int, int], K: int, step) -> dict[int, int]:
+    """A_e of the Horner walk over right descents (module docstring): walking
+    indices downward, step adds the generator t times A_y into A_{yt} (t the
+    last letter of y), A_y starting as seed[y] b once y is reached.  step
+    returns the OR of its operands of >> K, whose low digit must be 0."""
+    els, b = system.elements(), list(b.items())
 
-    One lazily filled table per system, started afresh when K changes (a
-    table per width would keep one for every width ever asked for).
-    bar(T_s) = T_s + (q - q^-1), so with s the first letter of x,
-    bar(T_x) = bar(T_s) bar(T_{sx}), and bar(T_s) T_w is
-    T_sw + (q - q^-1) T_w if sw > w and T_sw otherwise.
-    """
-    have, rows = _BAR_ROWS.get(system, (None, None))
-    if have != K:
-        rows = [None] * system.order
-        rows[0] = {0: 1 << K * system.length(system.longest_element())}
-        _BAR_ROWS[system] = K, rows
-    els = system.elements()
+    def start(y: int) -> dict[int, int]:  # A_y when y is first reached: seed[y] b, or 0
+        ca = seed.get(y)
+        return {} if ca is None else {w: ca * bw for w, bw in b}
 
-    def row(x: int) -> dict[int, int]:
-        chain = []
-        while rows[x] is None:
-            chain.append(x)
-            s = system.word(els[x])[0]
-            x = system.left_index[s - 1][x]
-        for x in reversed(chain):
-            ls = system.left_index[system.word(els[x])[0] - 1]
-            out: dict[int, int] = {}
-            low = 0
-            for w, h in rows[ls[x]].items():
-                sw = ls[w]
-                out[sw] = out.get(sw, 0) + h
-                if sw > w:
-                    low |= h
-                    out[w] = out.get(w, 0) + (h << K) - (h >> K)
-            _check_exact(low, K)
-            rows[x] = {w: h for w, h in out.items() if h}
-        return rows[x]
-
+    acc: dict[int, dict[int, int]] = {}
+    heap, low = [-y for y in seed], 0
+    heapify(heap)
+    while True:
+        y = -heappop(heap)
+        row = acc.pop(y, None) or start(y)  # a row in acc is never empty
+        if not y:
+            break
+        t = system.word(els[y])[-1]
+        yt = system.right_index[t - 1][y]
+        dest = acc.get(yt)
+        if dest is None:
+            dest = acc[yt] = start(yt)
+            if yt not in seed:
+                heappush(heap, -yt)
+        low |= step(row, dest, system.left_index[t - 1], K)
+    _check_exact(low, K)
     return row
+
+
+def _t_step(row: dict[int, int], dest: dict[int, int], lt: list[int], K: int) -> int:
+    """dest += T_t row, lt = left multiplication by t: T_t T_w = T_tw + (q^-1 - q) T_w where tw < w."""
+    low = 0
+    for w, c in row.items():
+        tw = lt[w]
+        dest[tw] = dest.get(tw, 0) + c
+        if tw < w:
+            low |= c
+            dest[w] = dest.get(w, 0) + (c >> K) - (c << K)
+    return low
+
+
+def _bar_step(row: dict[int, int], dest: dict[int, int], lt: list[int], K: int) -> int:
+    """dest += bar(T_t) row: bar(T_t) T_w = T_tw + (q - q^-1) T_w where tw > w."""
+    low = 0
+    for w, c in row.items():
+        tw = lt[w]
+        dest[tw] = dest.get(tw, 0) + c
+        if tw > w:
+            low |= c
+            dest[w] = dest.get(w, 0) + (c << K) - (c >> K)
+    return low

@@ -124,10 +124,11 @@ class KLCache:
             col = self._columns[w] = self._compute(self.system.index(w))
             self.computed += 1
         elif self._unguarded and (i := self.system.index(w)) in self._unguarded:
-            packed = dict(col._pairs())  # for the guard only: the column keeps its arrays
-            if None in packed.values():  # load could not pack an entry
+            entries = list(map(self._values.__getitem__, set(col._ids)))  # each distinct entry once
+            if None in entries:  # load could not pack an entry
                 self._fail(i, "a loaded entry is not in Z[q] with degree <= l(w0) and coefficients in [0, 2^62)")
-            self._guard(i, packed)
+            diagonal = self._values[col._ids[col._rows.index(i)]] if i in col._rows else None
+            self._guard_entries(i, diagonal, entries)
             self._unguarded.remove(i)
         return col
 
@@ -196,14 +197,18 @@ class KLCache:
 
     def _guard(self, i: int, col: dict[int, int], low: int = 0, mu_sum: int = 0):
         """Raise unless packed column i decodes exactly (module docstring)."""
-        if col.get(i) != 1:
+        self._guard_entries(i, col.get(i), col.values(), low, mu_sum)
+
+    def _guard_entries(self, i: int, diagonal: int | None, entries: Iterable[int], low: int = 0, mu_sum: int = 0):
+        """_guard on column i's diagonal entry and its entries (or its distinct ones)."""
+        if diagonal != 1:
             self._fail(i, "the diagonal entry is not 1")
         if low & _MASK:
             self._fail(i, "a division by q was not exact")
         if (2 + mu_sum) * self._top >= _LIMIT:
             self._fail(i, "coefficients could reach 2^62")
         # digit k of the OR bounds digit k of every entry; it is < 0 iff one is
-        top, acc = self._top, reduce(or_, col.values())
+        top, acc = self._top, reduce(or_, entries)
         while acc > 0:
             top, acc = max(top, acc & _MASK), acc >> _DIGIT
         if acc < 0 or top >= _LIMIT:

@@ -237,8 +237,3 @@ ONE = LaurentPoly.one()
 Q = LaurentPoly.q_power(1)
 QINV = LaurentPoly.q_power(-1)
 
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -5,10 +5,11 @@ and value ids) until a reader needs random access."""
 import gzip
 import hashlib
 import json
+from functools import reduce
 
 import pytest
 
-from heckekl import KLCache, coxeter_system, kl_matrix
+from heckekl import KLCache, coxeter_system, factorize_chain, kl_matrix, matmul
 from heckekl.klbasis import _Column
 from heckekl.laurent import ExactnessError
 
@@ -92,6 +93,14 @@ def test_filled_columns_hold_no_dict(group):
     assert len(cache._columns) == s.order
     assert all(m.columns[w] is col for w, col in cache._columns.items())
     assert not any(map(_holds_a_dict, cache._columns.values()))
+
+
+def test_factorize_and_compare_leave_no_dict():
+    s = coxeter_system("B3")
+    cache, other = KLCache(s), KLCache(s)
+    product, kl = reduce(matmul, factorize_chain(cache)), kl_matrix(cache)
+    assert product.same_entries(kl) and kl.same_entries(product) and kl.same_entries(kl_matrix(other))
+    assert not any(map(_holds_a_dict, [*cache._columns.values(), *other._columns.values()]))
 
 
 def test_kl_elements_share_one_packed_dict():

@@ -287,6 +287,17 @@ def test_guard_rejects_damaged_loaded_columns(tmp_path, column, entry, poly, mat
         loaded.kl_column(s.longest_element())
 
 
+def test_guard_rejects_a_loaded_column_without_its_diagonal(tmp_path):
+    s = coxeter_system("A2")
+
+    def edit(columns):
+        del columns["1,2"]["1,2"]
+
+    loaded = _load_edited(tmp_path, s, ([1], [1, 2]), edit)
+    with pytest.raises(RuntimeError, match="KL column 1,2: the diagonal entry is not 1"):
+        loaded.kl_column(s.element_from_word([1, 2]))
+
+
 def test_a_mu_above_1_is_subtracted_that_many_times(tmp_path):
     # every mu the supported groups reach is 1; with h_{1,12} edited to 2q,
     # mu(1, 12) = 2 and C_{121} = C_{12} C_1 - 2 C_1 is still the true C_{121}

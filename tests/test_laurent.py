@@ -1,7 +1,9 @@
+import doctest
 import random
 
 import pytest
 
+import heckekl.laurent
 from heckekl import LaurentPoly, ONE, Q, QINV, ZERO
 
 
@@ -94,3 +96,8 @@ def test_json_round_trip():
         assert LaurentPoly.from_json_obj(obj) == p
     assert LaurentPoly.from_json_obj({"2": "7", "-1": 1}) == LaurentPoly({2: 7, -1: 1})
     assert ZERO.to_json_obj() == {}
+
+
+def test_module_doctests_pass():
+    result = doctest.testmod(heckekl.laurent)
+    assert result.attempted and result.failed == 0
