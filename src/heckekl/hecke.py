@@ -18,22 +18,23 @@ An element is stored packed (laurent.pack: p is (q^off p)(2^K)): one dict
 bound on its L1 norm.  ``.terms`` is its read-only element-keyed view
 (_Column, as for KL columns and transition matrices); a KL element is its
 column's view over the dict that view keeps, not a copy.  Product, bar, psi
-and restrict read and give packed dicts, and form reads them: an operand at
-the call's K is used as stored, an offset change is an exact shift, and only
-an operand at another K is repacked, once per distinct value.  Equal
-elements at one K have equal dicts.
+and restrict read and give packed dicts: an operand at the call's K is used
+as stored, an offset change is an exact shift, and only an operand at
+another K is repacked, once per distinct value.  Equal elements at one K
+have equal dicts.
 
 The product is Horner over right descents (_walk): walking indices
 downward, add T_t A_y into A_{yt} (t a right descent of y), A_y starting as
 a_y b once y is reached; the result is A_e.  bar(a) is the same walk with
 bar(T_t) = T_t + (q - q^-1) for T_t, over the barred a_y and b = 1;
-form(a, b) is bar(a) dotted with b.  Offsets keep every exponent of every
-intermediate >= 0, so each q^-1 step is an exact ``>> K``; an OR of the
-shifted operands checks their low digits (ExactnessError if one was not 0).
+form(a, b) is bar(a) dotted with b, coefficient by coefficient over supp(b).
+Offsets keep every exponent of every intermediate >= 0, so each q^-1 step
+is an exact ``>> K``; an OR of the shifted operands checks their low digits
+(ExactnessError if one was not 0).
 
 K = laurent.width(B), B bounding the L1 norm of every coefficient a call
-forms: each step at most triples a norm, so B = |a|_1 3^l |b|_1 for a*b and
-form(a, b) and |a|_1 3^l for bar(a), l the longest length in supp(a).  A
+forms: each step at most triples a norm, so B = |a|_1 3^l |b|_1 for a*b
+and |a|_1 3^l for bar(a), l the longest length in supp(a).  A
 result carries its B; where carried bounds would widen the digits, the exact
 norms are used.
 """
@@ -277,16 +278,11 @@ def form(a: HeckeElement, b: HeckeElement) -> LaurentPoly:
     Z[q,q^-1], and adjoint to multiplication via omega:
     form(a*h, h2) == form(h, a.omega()*h2).
 
-    Packed: bar(a) dotted with b on supp(b), at the width of a*b.
+    That is, bar(a) dotted with b on supp(b).
     """
     a._check(b)
-    if not a._packed or not b._packed:
-        return ZERO
-    K, _ = _width(a, b)
     abar = a.bar()
-    cbar = _packed_at(abar, K, abar.off)
-    total = sum(cbar.get(x, 0) * d for x, d in _packed_at(b, K, b.off).items())
-    return unpack(total, K, abar.off + b.off)
+    return sum((abar.coeff(x) * c for x, c in b.terms.items()), ZERO)
 
 
 def _add(d: dict[Element, LaurentPoly], w: Element, c: LaurentPoly):
@@ -342,17 +338,13 @@ def _packed_at(h, K: int, off: int) -> dict[int, int]:
 
 
 def _width(a: HeckeElement, b: HeckeElement | None = None) -> tuple[int, int]:
-    """(K, B) for a*b or form(a, b), or for bar(a) without b (module docstring):
-    from the carried norms, or the exact ones if those need a wider digit."""
-    b = b or _ONE
+    """(K, B) for a*b, or for bar(a) without b (module docstring): from the
+    carried norms, or the exact ones if those need a wider digit."""
     grow = 3 ** _depth(a)
-    bound = grow * a._l1 * b._l1
-    if width(bound) > max(a.K, b.K):
-        bound = grow * a._exact_l1() * b._exact_l1()
+    bound = grow * a._l1 * (b._l1 if b else 1)
+    if width(bound) > max(a.K, b.K if b else 0):
+        bound = grow * a._exact_l1() * (b._exact_l1() if b else 1)
     return width(bound), bound
-
-
-_ONE = _element(None, {0: 1}, 64, 0, 1)  # |b|_1 = 1 in _width when there is no b
 
 
 def _depth(h: HeckeElement) -> int:

@@ -29,9 +29,10 @@ coefficient of C_v C_s at y is h_{ys,v} + (h_{y,v} >> 64 if ys < y, else
 h_{y,v} << 64); mu is digit 1.  A guard raises ExactnessError naming the
 column unless its diagonal is 1, each >> 64 was exact, (2 + sum of mu) *
 (largest coefficient so far) < 2^62 (so decoding is unique) and all entries
-are >= 0 with digits < 2^62; loaded columns pass it when first read (load
-does not pack an entry of degree above l(w0), so its column fails then).  A
-relabeled column holds its partner's ints, so it needs no guard.
+are >= 0 with digits < 2^62.  load runs it on each column it reads (an entry
+of degree above l(w0) does not pack, so its column fails); a column that
+fails is not stored, and reading it raises the guard's error.  A relabeled
+column holds its partner's ints, so it needs no guard.
 
 Each column is stored as two arrays: its rows (element indices) and, per
 row, an id into the cache's one list of distinct packed entries, so equal
@@ -78,9 +79,9 @@ class _Ids(dict):
     __slots__ = ("entries",)
 
     def __init__(self):
-        self.entries: list[int | None] = []  # None: a loaded entry that did not pack
+        self.entries: list[int] = []
 
-    def __missing__(self, h: int | None) -> int:
+    def __missing__(self, h: int) -> int:
         self[h] = k = len(self.entries)
         self.entries.append(h)
         return k
@@ -99,9 +100,10 @@ class KLCache:
     """Per-system store of KL columns h_{.,w}, filled on demand.  Each column is
     two arrays behind its read-only view in ``_columns``: its rows and, per
     row, an id into ``_values``, the one list of distinct packed entries of
-    the cache.  A column is computed by the recursion, or relabeled from a
-    partner already read (stored, and not a loaded column still unguarded):
-    new rows, the partner's id array."""
+    the cache.  Every stored column has passed the guard: a column is computed
+    by the recursion, relabeled from a stored partner (new rows, the partner's
+    id array) or loaded; a loaded column that fails the guard is not stored,
+    and reading it raises its error (``_damaged``)."""
 
     def __init__(self, system: CoxeterSystem):
         self.system = system
@@ -110,7 +112,7 @@ class KLCache:
         self._ids = _Ids()  # packed entry -> id; _values[id] is that entry's one int
         self._values = self._ids.entries
         self._row_code = _code(system.order)
-        self._unguarded: set[int] = set()  # loaded, not read yet: guarded on first read
+        self._damaged: dict[Element, str] = {}  # loaded column -> the guard's error on it
         self._top = 1  # largest coefficient in any packed column so far
         self._polys = decoder(_DIGIT, 0)  # intern table: h -> its one LaurentPoly
         self._l1: dict[int, int] = {}  # see _column_l1
@@ -121,15 +123,10 @@ class KLCache:
         """The read-only map x -> h_{x,w}; absent keys are zero."""
         col = self._columns.get(w)
         if col is None:
+            if w in self._damaged:
+                raise ExactnessError(self._damaged[w])
             col = self._columns[w] = self._compute(self.system.index(w))
             self.computed += 1
-        elif self._unguarded and (i := self.system.index(w)) in self._unguarded:
-            entries = list(map(self._values.__getitem__, set(col._ids)))  # each distinct entry once
-            if None in entries:  # load could not pack an entry
-                self._fail(i, "a loaded entry is not in Z[q] with degree <= l(w0) and coefficients in [0, 2^62)")
-            diagonal = self._values[col._ids[col._rows.index(i)]] if i in col._rows else None
-            self._guard_entries(i, diagonal, entries)
-            self._unguarded.remove(i)
         return col
 
     def _packed_column(self, i: int) -> dict[int, int]:
@@ -159,9 +156,9 @@ class KLCache:
         if i == 0:
             return self._store({0: 1})
         els = self.system.elements()
-        for g in self.system.index_symmetries:  # h_{x,w} = h_{g(x),g(w)}: relabel a column already read
-            col = self._columns.get(els[g[i]])
-            if col is not None and g[i] not in self._unguarded:
+        for g in self.system.index_symmetries:  # h_{x,w} = h_{g(x),g(w)}: relabel a stored column
+            if els[g[i]] in self._columns:  # read through kl_column, which counts reads
+                col = self.kl_column(els[g[i]])
                 return self._view(_array(self._row_code, map(g.__getitem__, col._rows)), col._ids)
         right = self.system.right_index[self.system.word(els[i])[-1] - 1]
         colv = dict(self.kl_column(els[right[i]])._pairs())  # the one random-access read: colv.get(ys)
@@ -245,16 +242,13 @@ class KLCache:
     # -- persistence -------------------------------------------------------
 
     def save(self, path):
-        """Dump all cached columns as gzipped JSON keyed by canonical words,
+        """Dump all stored columns as gzipped JSON keyed by canonical words,
         atomically (os.replace of a file written in the same directory).  A
-        loaded column that did not pack is left out: the next run recomputes it."""
+        loaded column that failed the guard is not stored, so it is not
+        written: the next run recomputes it."""
         sys, index, values = self.system, self.system._index, self._values
         words = [format_word(sys.word(w)) for w in sys.elements()]
-        stored = sorted(  # index order is canonical order
-            (index[w], col)
-            for w, col in self._columns.items()
-            if index[w] not in self._unguarded or None not in col._ints()
-        )
+        stored = sorted((index[w], col) for w, col in self._columns.items())  # index order is canonical order
         used = set(chain.from_iterable(c._ids for _, c in stored))
         encoded = {k: self._polys(values[k]).to_json_obj() for k in used}  # each distinct entry once
         obj = {
@@ -294,19 +288,25 @@ class KLCache:
         if type(columns) is not dict or not {*map(type, columns.values())} <= {dict}:
             raise ValueError("cache columns are not an object of objects")
         out = cls(system)
-        els = system.elements()
-        index = cache(lambda text: system.index(system.element_from_word(parse_word(text))))
+        els, values = system.elements(), out._values
         top = system.length(system.longest_element())  # no KL polynomial has a higher degree
-        packs: dict[tuple, int] = {}  # the id of each distinct JSON polynomial's pack (of None: not packable)
+        packs: dict[tuple, int | None] = {}  # the id of each distinct JSON polynomial's pack (None: not packable)
 
-        def entry_id(obj) -> int:
+        @cache
+        def index(text: str) -> int:
+            i = system.index(system.element_from_word(parse_word(text)))
+            if format_word(system.word(els[i])) != text:  # else two words could name one column or row
+                raise ValueError(f"cache word {text!r} is not the canonical word of its element")
+            return i
+
+        def entry_id(obj) -> int | None:
             key = tuple(obj.items())
             if key not in packs:
                 p = LaurentPoly.from_json_obj(obj)
                 # in Z[q] with digits < 2^62 and degree <= l(w0), which also keeps
                 # the guard quick: its digit loop is quadratic in the degree
                 ok = all(0 <= e <= top and 0 <= c < _LIMIT for e, c in p.items())
-                packs[key] = out._ids[pack(p, _DIGIT, 0) if ok else None]
+                packs[key] = out._ids[pack(p, _DIGIT, 0)] if ok else None
             return packs[key]
 
         for wtext, col in columns.items():
@@ -316,8 +316,15 @@ class KLCache:
                 raise ValueError(f"cache column {wtext!r}: an entry is not an object of ints or decimal strings")
             i = index(wtext)
             ids = {index(xtext): entry_id(p) for xtext, p in col.items()}  # row -> id of its entry
-            out._columns[els[i]] = out._view(_array(out._row_code, ids), _array(_code(len(out._values)), ids.values()))
-            out._unguarded.add(i)
+            try:  # the guard, on the diagonal and each distinct entry
+                if None in ids.values():
+                    out._fail(i, "a loaded entry is not in Z[q] with degree <= l(w0) and coefficients in [0, 2^62)")
+                diagonal = values[ids[i]] if i in ids else None
+                out._guard_entries(i, diagonal, map(values.__getitem__, set(ids.values())))
+            except ExactnessError as e:  # not stored: kl_column raises its message when the column is read
+                out._damaged[els[i]] = str(e)
+                continue
+            out._columns[els[i]] = out._view(_array(out._row_code, ids), _array(_code(len(values)), ids.values()))
         return out
 
 

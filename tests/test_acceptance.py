@@ -6,7 +6,6 @@ at the stated scale.  All arithmetic is exact; there are no tolerances
 anywhere.
 """
 
-import itertools
 import random
 import time
 from contextlib import contextmanager
@@ -36,7 +35,7 @@ from heckekl import (
 from heckekl.coxeter import coxeter_system
 from heckekl.hecke import HeckeElement as _wrap
 from heckekl.klbasis import KLCache
-from conftest import get_cache
+from conftest import get_cache, subsets
 
 _SEED = 20260817
 
@@ -52,12 +51,6 @@ def announce(capsys, n, name):
     finally:
         with capsys.disabled():
             print(f"ACCEPTANCE {n} {name}: {verdict}", flush=True)
-
-
-def all_subsets(s):
-    return [
-        frozenset(c) for r in range(s.rank + 1) for c in itertools.combinations(s.generators, r)
-    ]
 
 
 def _check_factorization(cache):
@@ -90,16 +83,16 @@ def test_02_restriction_positivity(capsys):
         for group in ("A3", "B3", "I2(12)"):
             cache = get_cache(group)
             s = cache.system
-            for J in all_subsets(s):
+            for J in subsets(s):
                 for u in s.min_coset_reps(J, "left"):
                     for w in s.elements():
                         _restriction_positive(cache, J, u, w)
         cache = get_cache("D4")
         s = cache.system
         rng = random.Random(_SEED)
-        subsets = all_subsets(s)
+        Js = subsets(s)
         for _ in range(500):
-            J = rng.choice(subsets)
+            J = rng.choice(Js)
             u = rng.choice(s.min_coset_reps(J, "left"))
             w = rng.choice(s.elements())
             _restriction_positive(cache, J, u, w)
@@ -112,8 +105,8 @@ def test_03_transition_matrix_positivity(capsys):
         for group in ("A3", "B3"):
             cache = get_cache(group)
             s = cache.system
-            for J in all_subsets(s):
-                for I in all_subsets(s):
+            for J in subsets(s):
+                for I in subsets(s):
                     if I <= J:
                         assert transition_matrix(cache, I, J).is_nonneg_poly_matrix()
 
@@ -145,7 +138,7 @@ def test_06_parabolic_kl_consistency(capsys):
     with announce(capsys, 6, "parabolic KL agrees with the sign-module construction"):
         for group in ("A3", "B3"):
             cache = get_cache(group)
-            for J in all_subsets(cache.system):
+            for J in subsets(cache.system):
                 assert parabolic_kl(cache, J) == parabolic_kl_via_sign_module(cache, J)
         # chain-quotient values in type A with J = [n-1]: 1 / q / 0 by length gap
         for n in (2, 3, 4):
@@ -202,7 +195,7 @@ def _structural_invariants(cache):
     s = cache.system
     one = unit(s)
     zero = _wrap(s, {})
-    subsets = all_subsets(s)
+    Js = subsets(s)
     for w in s.elements():
         cw = cache.kl_element(w)
         # self-duality and unitriangularity of C_w
@@ -212,7 +205,7 @@ def _structural_invariants(cache):
             assert s.bruhat_leq(x, w)
             if x != w:
                 assert p.is_poly_in_q() and p.min_exp() >= 1
-    for J in subsets:
+    for J in Js:
         spec = HybridBasisSpec(J)
         reps = s.min_coset_reps(J, "left")
         wj = s.subgroup_elements(J)
@@ -230,7 +223,7 @@ def _structural_invariants(cache):
                 got = (tu_inv * t_basis(s, u2)).restrict(J)
                 assert got == (one if u == u2 else zero)
         # T_u shift of the hybrid basis, for every I inside J
-        for I in subsets:
+        for I in Js:
             if not I <= J:
                 continue
             ispec = HybridBasisSpec(I)
@@ -282,9 +275,9 @@ def test_10_product_expansion_positivity(capsys):
         cache = get_cache("A3")
         s = cache.system
         rng = random.Random(_SEED)
-        subsets = all_subsets(s)
+        Js = subsets(s)
         for _ in range(200):
-            J = rng.choice(subsets)
+            J = rng.choice(Js)
             w = rng.choice(s.elements())
             u = rng.choice(s.elements())
             spec = HybridBasisSpec(J)

@@ -115,11 +115,15 @@ def _with(obj, keys, value):
         lambda obj: _with(obj, ["format"], True),
         lambda obj: _with(obj, ["format"], 1.0),
         lambda obj: _with(obj, ["columns", "1", ""], {"30000": 1}),  # above l(w0) = 3: not packed
+        # column 1 renamed to 2,2,1 and its rows e and 1 to 2,2 and 1,1,1: words of the same elements
+        lambda obj: _with(
+            obj, ["columns", "2,2,1"], {"2,2": obj["columns"]["1"][""], "1,1,1": obj["columns"].pop("1")["1"]}
+        ),
     ],
     ids=[
         "list-entry", "list-column", "list-top-level", "no-columns", "columns-list",
         "float-coefficient", "fractional-coefficient", "bool-coefficient", "list-coefficient",
-        "null-coefficient", "bool-format", "float-format", "huge-exponent",
+        "null-coefficient", "bool-format", "float-format", "huge-exponent", "non-canonical-word",
     ],
 )
 def test_malformed_cache_file_is_a_clean_error(tmp_path, capsys, edit):

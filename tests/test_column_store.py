@@ -10,7 +10,8 @@ from functools import reduce
 import pytest
 
 from heckekl import KLCache, coxeter_system, factorize_chain, kl_matrix, matmul
-from heckekl.klbasis import _Column
+from heckekl import klbasis
+from heckekl.klbasis import _code, _Column
 from heckekl.laurent import ExactnessError
 
 # sha256 of the decompressed save output
@@ -124,3 +125,20 @@ def test_relabeled_columns_share_their_partners_ids(group):
             col, partner = cache.kl_column(w), cache.kl_column(els[g[k]])
             assert col._ids is partner._ids
             assert sorted(col._rows) == sorted(g[x] for x in partner._rows)
+
+
+def test_array_code_is_L_above_2_16():
+    assert _code(1 << 16) == "H" and _code((1 << 16) + 1) == "L"
+
+
+def test_a_fill_in_L_arrays_gives_the_same_columns_and_save(tmp_path, monkeypatch):
+    # no desk-scale group has more than 2^16 elements or distinct entries, so force "L"
+    s = coxeter_system("D4")
+    narrow = KLCache(s)
+    narrow.fill()
+    monkeypatch.setattr(klbasis, "_code", lambda n: "L")
+    wide = KLCache(s)
+    wide.fill()
+    assert {(c._rows.typecode, c._ids.typecode) for c in wide._columns.values()} == {("L", "L")}
+    assert all(wide.kl_column(w) == narrow.kl_column(w) for w in s.elements())
+    assert _saved_bytes(wide, tmp_path / "wide.klcache.gz") == _saved_bytes(narrow, tmp_path / "narrow.klcache.gz")

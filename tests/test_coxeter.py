@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from heckekl import UnsupportedGroupError, coxeter_system, format_word, parse_word
-from conftest import get_cache
+from conftest import subsets
 
 
 def test_orders():
@@ -106,8 +106,7 @@ def test_bruhat_extremes_and_incomparability():
 def test_parabolic_factorization_unique_and_length_additive():
     for g in ("A3", "B3"):
         s = coxeter_system(g)
-        subsets = [frozenset(c) for r in range(s.rank + 1) for c in itertools.combinations(s.generators, r)]
-        for J in subsets:
+        for J in subsets(s):
             reps = s.min_coset_reps(J, "left")
             wj = s.subgroup_elements(J)
             assert len(reps) * len(wj) == s.order

@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -16,6 +15,7 @@ from heckekl import (
     unit,
 )
 from heckekl.hecke import HeckeElement as _wrap
+from conftest import subsets
 
 
 def rand_element(s, rng, size=3):
@@ -209,12 +209,7 @@ def test_coset_orthogonality_exhaustive():
         s = coxeter_system(group)
         one = unit(s)
         zero = _wrap(s, {})
-        subsets = [
-            frozenset(c)
-            for r in range(s.rank + 1)
-            for c in itertools.combinations(s.generators, r)
-        ]
-        for J in subsets:
+        for J in subsets(s):
             reps = s.min_coset_reps(J, "left")
             for u in reps:
                 for u2 in reps:

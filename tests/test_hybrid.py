@@ -1,4 +1,3 @@
-import itertools
 import json
 import random
 
@@ -24,13 +23,7 @@ from heckekl import (
     transition_matrix,
 )
 from heckekl.hecke import HeckeElement as _wrap
-from conftest import get_cache
-
-
-def all_subsets(s):
-    return [
-        frozenset(c) for r in range(s.rank + 1) for c in itertools.combinations(s.generators, r)
-    ]
+from conftest import get_cache, subsets
 
 
 def test_basis_spec_validation():
@@ -65,7 +58,7 @@ def test_hybrid_factorizes_as_t_times_kl():
     cache = get_cache("B3")
     s = cache.system
     rng = random.Random(3)
-    for J in all_subsets(s):
+    for J in subsets(s):
         spec = HybridBasisSpec(J)
         for w in rng.sample(s.elements(), 10):
             u, v = s.parabolic_factorize_left(w, J)
@@ -75,7 +68,7 @@ def test_hybrid_factorizes_as_t_times_kl():
 def test_ct_orientation():
     cache = get_cache("A3")
     s = cache.system
-    for J in all_subsets(s):
+    for J in subsets(s):
         tc = HybridBasisSpec(J, "TC")
         ct = HybridBasisSpec(J, "CT")
         for w in s.elements():
@@ -202,7 +195,7 @@ def test_transition_endpoints():
     s = cache.system
     full = transition_matrix(cache, (), s.generators)
     assert full.same_entries(kl_matrix(cache))
-    for J in all_subsets(s):
+    for J in subsets(s):
         ident = transition_matrix(cache, J, J)
         assert all(ident.columns[w] == {w: ONE} for w in s.elements())
 
@@ -218,8 +211,8 @@ def _direct_transition(cache, I, J):
 def test_transition_replicate_matches_direct():
     cache = get_cache("A2")
     s = cache.system
-    for J in all_subsets(s):
-        for I in all_subsets(s):
+    for J in subsets(s):
+        for I in subsets(s):
             if I <= J:
                 a = transition_matrix(cache, I, J)
                 assert a.same_entries(_direct_transition(cache, I, J))
@@ -310,8 +303,8 @@ def test_kl_times_hybrid_shift():
     cache = get_cache("A3")
     s = cache.system
     rng = random.Random(19)
-    for J in all_subsets(s):
-        for I in all_subsets(s):
+    for J in subsets(s):
+        for I in subsets(s):
             if not I <= J:
                 continue
             spec = HybridBasisSpec(I)

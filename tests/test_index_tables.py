@@ -3,18 +3,13 @@ question reads the one coset split: check both against the realization and
 the word-letter definition of W_J, and check that J is validated on every
 call that has no cached table for it."""
 
-import itertools
 import random
 from functools import reduce
 
 import pytest
 
 from heckekl import HeckeElement, LaurentPoly, coxeter_system
-
-
-def _subsets(s):
-    for r in range(s.rank + 1):
-        yield from map(frozenset, itertools.combinations(s.generators, r))
+from conftest import subsets
 
 
 def _in_parabolic_by_letters(s, w, J):
@@ -56,7 +51,7 @@ def test_element_from_word_names_the_bad_position():
 @pytest.mark.parametrize("group", ["A3", "B3", "D4", "I2(7)"])
 def test_in_parabolic_matches_the_word_letters(group):
     s = coxeter_system(group)
-    for J in _subsets(s):
+    for J in subsets(s):
         for w in s.elements():
             assert s.in_parabolic(w, J) == _in_parabolic_by_letters(s, w, J)
 
@@ -65,7 +60,7 @@ def test_in_parabolic_matches_the_word_letters(group):
 def test_restrict_matches_the_word_letters(group):
     s = coxeter_system(group)
     h = HeckeElement(s, {w: LaurentPoly({k % 5 - 2: k + 1}) for k, w in enumerate(s.elements())})
-    for J in _subsets(s):
+    for J in subsets(s):
         want = {w: c for w, c in h.terms.items() if _in_parabolic_by_letters(s, w, J)}
         assert h.restrict(J).terms == want
         assert h.restrict(sorted(J, reverse=True)).terms == want
@@ -85,7 +80,7 @@ def _invalid_j_calls(s, J):
 @pytest.mark.parametrize("group", ["A3", "D4"])
 def test_an_invalid_j_is_refused_after_valid_tables_are_cached(group):
     s = coxeter_system(group)
-    for J in _subsets(s):
+    for J in subsets(s):
         s.coset_index(J)
     bad = [frozenset({0}), frozenset({1, s.rank + 1}), [s.rank + 1], {1, 2, 99}, (0, 1)]
     for J in bad:

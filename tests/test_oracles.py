@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -24,13 +23,7 @@ from heckekl import (
     type_a_restriction_formula,
 )
 from heckekl.hecke import HeckeElement as _wrap
-from conftest import get_cache
-
-
-def all_subsets(s):
-    return [
-        frozenset(c) for r in range(s.rank + 1) for c in itertools.combinations(s.generators, r)
-    ]
+from conftest import get_cache, subsets
 
 
 # -- sign module -----------------------------------------------------------
@@ -49,7 +42,7 @@ def test_sign_project_of_t_basis():
 def test_sign_project_kills_kl_of_subgroup():
     cache = get_cache("A3")
     s = cache.system
-    for J in all_subsets(s):
+    for J in subsets(s):
         for v in s.subgroup_elements(J):
             m = sign_project(cache.kl_element(v), J)
             if v == s.identity:
@@ -76,7 +69,7 @@ def test_sign_action_is_module_map():
     rng = random.Random(37)
     for group in ("A2", "A3", "B2"):
         s = coxeter_system(group)
-        for J in all_subsets(s):
+        for J in subsets(s):
             for _ in range(8):
                 terms = {
                     w: LaurentPoly({rng.randint(-2, 2): rng.randint(-3, 3)})
@@ -92,7 +85,7 @@ def test_sign_action_is_module_map():
 def test_parabolic_kl_construction_agree():
     for group in ("A2", "A3", "B2"):
         cache = get_cache(group)
-        for J in all_subsets(cache.system):
+        for J in subsets(cache.system):
             assert parabolic_kl(cache, J) == parabolic_kl_via_sign_module(cache, J)
 
 

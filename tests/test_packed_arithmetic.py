@@ -21,7 +21,7 @@ from heckekl import (
 from heckekl.hecke import HeckeElement as _wrap
 from heckekl.hecke import _add, _check_exact, form
 from heckekl.laurent import ONE, ZERO, ExactnessError, pack, unpack
-from conftest import get_cache
+from conftest import get_cache, subsets
 
 _QINV_MINUS_Q = LaurentPoly({-1: 1, 1: -1})
 _Q_MINUS_QINV = LaurentPoly({1: 1, -1: -1})
@@ -290,13 +290,6 @@ def test_terms_are_a_read_only_view():
 # ---------------------------------------------------------------------------
 
 
-def _subsets(s):
-    out = [frozenset()]
-    for g in s.generators:
-        out += [j | {g} for j in out]
-    return out
-
-
 def _descent_walk(s, w, J):
     """(u, v) by peeling right descents in J off w one at a time."""
     u, v = w, s.identity
@@ -309,7 +302,7 @@ def _descent_walk(s, w, J):
 
 def test_coset_table_matches_the_descent_walk():
     s = coxeter_system("B3")
-    for J in _subsets(s):
+    for J in subsets(s):
         for w in s.elements():
             u, v = s.parabolic_factorize_left(w, J)
             assert (u, v) == _descent_walk(s, w, J)
@@ -327,7 +320,7 @@ def test_coset_table_validates_J():
 def test_one_pass_parabolic_kl_matches_per_pair_definition(group):
     cache = get_cache(group)
     s = cache.system
-    for J in _subsets(s):
+    for J in subsets(s):
         reps = s.min_coset_reps(J, "left")
         want = {}
         for up in reps:

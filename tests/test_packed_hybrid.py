@@ -4,7 +4,6 @@ LaurentPoly construction it replaced."""
 
 import random
 from heapq import heapify, heappop, heappush
-from itertools import combinations
 
 import pytest
 
@@ -25,7 +24,7 @@ from heckekl.hecke import HeckeElement as _wrap
 from heckekl.hecke import form
 from heckekl.hybrid import TransitionMatrix
 from heckekl.laurent import ZERO, ExactnessError
-from conftest import get_cache
+from conftest import get_cache, subsets
 
 GROUPS = ("A3", "B3", "D4", "I2(7)")
 
@@ -113,11 +112,6 @@ def ref_matmul_columns(a, b):
                     acc.pop(x, None)
         cols[w] = acc
     return cols
-
-
-def subsets(sys):
-    gens = sys.generators
-    return [frozenset(c) for k in range(len(gens) + 1) for c in combinations(gens, k)]
 
 
 def random_element(sys, rng, n, exps, coeff):
