@@ -47,7 +47,7 @@ from .hybrid import (
     sparse_entries,
 )
 from .laurent import ExactnessError, ZERO
-from .verification import crystallographic_note, run_suite
+from .verification import SUITES, crystallographic_note, run_suite
 
 _EMPTY_TOKENS = {"", "e", "@", "∅"}
 
@@ -301,9 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_parabolic)
 
     sp = sub.add_parser("verify", parents=[common], help="run named property checks")
-    sp.add_argument(
-        "--suite", choices=["all", "positivity", "oracles", "involutions"], default="all"
-    )
+    sp.add_argument("--suite", choices=sorted(SUITES), default="all")
     sp.set_defaults(fn=cmd_verify)
     return p
 

@@ -4,14 +4,15 @@ A realization gives only the identity, the generators and the product: one
 signed-permutation realization serves A, B and D (A is its all-positive
 case), and I2(m) keeps (length, first letter) pairs whose product is read off
 the Coxeter relation.  Everything else comes from one breadth-first
-enumeration at construction: the length of w is the level at which w is
-first reached, the right and left multiplication tables by generators are
-read off the product, and from those follow the descent sets, the ShortLex
-canonical reduced word (greedy smallest left descent) and the inverse (w^-1
-= (s w)^-1 s for s the first letter of the word); the w0-conjugation table
-is built on first use.  Canonical element order is (length, word) and is
-the order used for every matrix and listing; the multiplication tables are
-kept on its indices only.
+enumeration at construction, along right multiplication by the generators in
+increasing order: it reaches the elements in canonical (length, ShortLex
+word) order, the order used for every matrix and listing, the word that
+first reaches w, its parent's word plus one letter, is w's ShortLex reduced
+word, and the products it forms are the right multiplication table.  The
+left table is read off the product, and from the two follow the descent sets
+and the inverse (w^-1 = (s w)^-1 s for s the first letter of the word); the
+w0-conjugation table is built on first use.  The multiplication tables are
+kept on canonical indices only.
 
 Generators are named 1..rank.  Conventions:
 
@@ -68,17 +69,11 @@ class _SignedPermutations:
         self.rank = n
         size = n + 1 if family == "A" else n
         self.order_formula = factorial(n) * {"A": n + 1, "B": 2**n, "D": 2 ** (n - 1)}[family]
-        self._identity = e = tuple(range(1, size + 1))
+        self.identity = e = tuple(range(1, size + 1))
         first = self._FIRST[family]
-        self._gens = [first + e[len(first) :]]
+        self.gens = [first + e[len(first) :]]
         for k in range(size - n + 1, size):  # swap the letters k, k+1
-            self._gens.append(e[: k - 1] + (k + 1, k) + e[k + 1 :])
-
-    def identity(self) -> Element:
-        return self._identity
-
-    def gen(self, i: int) -> Element:
-        return self._gens[i - 1]
+            self.gens.append(e[: k - 1] + (k + 1, k) + e[k + 1 :])
 
     def multiply(self, a: Element, b: Element) -> Element:
         return tuple([a[v - 1] if v > 0 else -a[-v - 1] for v in b])  # a list builds faster than a generator
@@ -98,12 +93,8 @@ class _Dihedral:
         self.rank = 2
         self.m = m
         self.order_formula = 2 * m
-
-    def identity(self) -> Element:
-        return (0, 0)
-
-    def gen(self, i: int) -> Element:
-        return (1, i)
+        self.identity = (0, 0)
+        self.gens = [(1, 1), (1, 2)]
 
     def _times(self, w: Element, g: int) -> Element:
         """w * s_g."""
@@ -168,46 +159,41 @@ class CoxeterSystem:
 
     def _build(self):
         real = self._real
-        ident = real.identity()
-        gens = [real.gen(i) for i in self.generators]
+        ident, gens = real.identity, real.gens
 
-        # breadth-first along right multiplication, numbering elements as they
-        # are first reached: the level at which w is reached is l(w), and the
-        # rows are the right table on those numbers (els grows as it is read)
+        # Breadth-first along right multiplication, numbering elements as they
+        # are first reached and giving each its parent's word plus the letter
+        # that reached it (els grows as it is read).  The level at which w is
+        # reached is l(w), and discovery order is canonical order, the first
+        # word being the least reduced word: by induction on the level, the
+        # level-L parents are read in canonical order and the letters in
+        # increasing order, so the pairs (parent, letter) are met in
+        # lexicographic order of the words parent's word + letter.  Each v of
+        # length L+1 is reached first by its least reduced word, because that
+        # word's prefix of length L is the least word of a level-L element (a
+        # smaller word for the prefix would give a smaller word for v); so the
+        # elements of level L+1 are numbered in the order of their least
+        # words, after all of level L.
         found = {ident: 0}
-        els, length, right = [ident], [0], []
+        els, word, right = [ident], [()], [[] for _ in gens]
         for b, w in enumerate(els):
-            row = []
-            for g in gens:
+            for i, g in enumerate(gens, 1):
                 v = real.multiply(w, g)
                 j = found.get(v)
                 if j is None:
                     j = found[v] = len(els)
                     els.append(v)
-                    length.append(length[b] + 1)
-                row.append(j)
-            right.append(row)
+                    word.append(word[b] + (i,))
+                right[i - 1].append(j)
         if len(els) != real.order_formula:
             raise RuntimeError(f"enumeration produced {len(els)} elements, expected {real.order_formula}")
-        left = [[found[real.multiply(g, w)] for g in gens] for w in els]
-
-        word: list[Word] = [()]
-        for b in range(1, len(els)):  # BFS order: shorter elements first
-            for i, sb in enumerate(left[b], 1):
-                if length[sb] < length[b]:
-                    word.append((i,) + word[sb])
-                    break
-
-        order = sorted(range(len(els)), key=lambda b: (length[b], word[b]))
-        pos = {b: k for k, b in enumerate(order)}
         # right_index[i - 1][k] is the index of elements()[k] * s_i, below k iff s_i
         # is a right descent (indices follow length); left_index that of s_i * elements()[k]
-        self.right_index = ri = tuple([pos[right[b][i]] for b in order] for i in range(self.rank))
-        self.left_index = li = tuple([pos[left[b][i]] for b in order] for i in range(self.rank))
-        self._elements = elements = tuple(els[b] for b in order)
-        self._index = {w: k for k, w in enumerate(elements)}
-        self._length = {els[b]: length[b] for b in order}
-        self._word = {els[b]: word[b] for b in order}
+        self.right_index = ri = tuple(right)
+        self.left_index = li = tuple([found[real.multiply(g, w)] for w in els] for g in gens)
+        self._elements = elements = tuple(els)
+        self._index = found
+        self._word = dict(zip(els, word))
         self._rdesc = {
             w: frozenset(i for i in self.generators if ri[i - 1][k] < k) for k, w in enumerate(elements)
         }
@@ -217,7 +203,7 @@ class CoxeterSystem:
         # w^-1 = (s w)^-1 s for s the first letter of w's word; s w comes first
         inverse = [0]
         for k in range(1, len(elements)):
-            s = word[order[k]][0] - 1
+            s = word[k][0] - 1
             inverse.append(ri[s][inverse[li[s][k]]])
         self.inverse_index = inverse  # inverse_index[k] is the index of elements()[k]^-1
         self.identity = ident
@@ -256,14 +242,15 @@ class CoxeterSystem:
         return self._index[w]
 
     def length(self, w: Element) -> int:
-        return self._length[w]
+        return len(self._word[w])
 
     def word(self, w: Element) -> Word:
         """The ShortLex canonical reduced word of w."""
         return self._word[w]
 
-    def sort_key(self, w: Element):
-        return (self._length[w], self._word[w])
+    def sort_key(self, w: Element) -> int:
+        """The canonical index of w: sorting by it is sorting by (length, word)."""
+        return self._index[w]
 
     def multiply(self, a: Element, b: Element) -> Element:
         return self._real.multiply(a, b)

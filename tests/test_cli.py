@@ -4,12 +4,7 @@ import os
 import pytest
 
 from heckekl.cli import main
-
-
-def run(capsys, *argv):
-    code = main(list(argv))
-    out, err = capsys.readouterr()
-    return code, out, err
+from conftest import run
 
 
 def test_kl_column_a1_golden(capsys):

@@ -14,14 +14,9 @@ from heckekl import KLCache, coxeter_system
 from heckekl import cli, klbasis
 from heckekl.cli import main
 from heckekl.laurent import ExactnessError
+from conftest import run
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-
-
-def run(capsys, *argv):
-    code = main(list(argv))
-    out, err = capsys.readouterr()
-    return code, out, err
 
 
 def assert_clean_error(code, out, err):

@@ -90,8 +90,8 @@ def test_loaded_columns_are_views_of_the_packed_columns(tmp_path):
 
 
 def test_kl_on_an_edited_diagonal_is_a_clean_error(tmp_path, capsys):
-    # an edited and re-gzipped payload passes gzip's checks; the KL guard
-    # runs on each loaded column when kl first reads it
+    # an edited and re-gzipped payload passes gzip's checks; load runs the KL
+    # guard on each column and kl raises its error when it reads the column
     cache_dir = tmp_path / "caches"
     assert main(["kl", "--group", "A2", "--cache-dir", str(cache_dir)]) == 0
     path = cache_dir / "A2.klcache.gz"

@@ -1,9 +1,7 @@
-import itertools
-
 import pytest
 
 from heckekl import UnsupportedGroupError, coxeter_system, format_word, parse_word
-from conftest import subsets
+from conftest import subsets, subword_interval
 
 
 def test_orders():
@@ -44,16 +42,23 @@ def test_canonical_order_a2():
     assert s.index(s.identity) == 0
 
 
-def test_words_are_reduced_and_shortlex():
-    for g in ("A3", "B3", "I2(6)", "D4"):
-        s = coxeter_system(g)
-        for w in s.elements():
-            word = s.word(w)
-            assert len(word) == s.length(w)
-            assert s.element_from_word(word) == w
-            if word:
-                # ShortLex: first letter is the smallest left descent
-                assert word[0] == min(s.left_descents(w))
+@pytest.mark.parametrize("group", ["A3", "B3", "I2(6)", "D4", "A5", "B4", "I2(24)", "A6", "B5", "D5"])
+def test_words_are_reduced_and_shortlex(group):
+    s = coxeter_system(group, allow_large=True)
+    els = s.elements()
+    for w in els:
+        word = s.word(w)
+        assert len(word) == s.length(w)
+        assert s.element_from_word(word) == w
+        if word:
+            # ShortLex: the first letter is the smallest left descent and the
+            # rest is the word of s*w
+            assert word[0] == min(s.left_descents(w))
+            assert s.word(s.apply_left(word[0], w)) == word[1:]
+    # the enumeration numbers the elements in canonical order, and sort_key agrees
+    canonical = sorted(els, key=lambda w: (s.length(w), s.word(w)))
+    assert list(els) == canonical
+    assert sorted(els, key=s.sort_key) == canonical
 
 
 def test_descents_and_apply():
@@ -69,21 +74,11 @@ def test_descents_and_apply():
         assert s.right_descents(s.inverse(w)) == s.left_descents(w)
 
 
-def _subword_interval(s, w):
-    """Elements reachable as products of subwords of a reduced word of w."""
-    word = s.word(w)
-    out = set()
-    for k in range(len(word) + 1):
-        for sub in itertools.combinations(word, k):
-            out.add(s.element_from_word(sub))
-    return out
-
-
 @pytest.mark.parametrize("group", ["A3", "I2(6)", "B2"])
 def test_bruhat_matches_subword_oracle(group):
     s = coxeter_system(group)
     for w in s.elements():
-        interval = _subword_interval(s, w)
+        interval = subword_interval(s, w)
         for u in s.elements():
             assert s.bruhat_leq(u, w) == (u in interval)
         assert set(s.bruhat_interval(w)) == interval

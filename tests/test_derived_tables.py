@@ -8,6 +8,7 @@ import random
 import pytest
 
 from heckekl import coxeter_system
+from conftest import subword_interval
 
 
 def _inversions(w):
@@ -37,11 +38,6 @@ def test_inverse_inverts(group):
         assert s.multiply(s.inverse(w), w) == s.identity
 
 
-def _subword_interval(s, w):
-    word = s.word(w)
-    return {s.element_from_word(sub) for k in range(len(word) + 1) for sub in itertools.combinations(word, k)}
-
-
 @pytest.mark.parametrize(
     "group, sample",
     [("B3", None), ("D4", 12)],
@@ -52,7 +48,7 @@ def test_bruhat_matches_subword_oracle(group, sample):
     if sample is not None:
         ws = random.Random(7).sample(ws, sample) + [s.longest_element()]
     for w in ws:
-        interval = _subword_interval(s, w)
+        interval = subword_interval(s, w)
         assert [u for u in s.elements() if s.bruhat_leq(u, w)] == s.bruhat_interval(w)
         assert set(s.bruhat_interval(w)) == interval
 
