@@ -200,7 +200,7 @@ def cmd_hybrid(args) -> tuple[int, str]:
 
 
 def cmd_factorize(args) -> tuple[int, str]:
-    factors = factorize_chain(args.cache, _parse_chain(args.chain) if args.chain else None)
+    factors = factorize_chain(args.cache, _parse_chain(args.chain) if args.chain is not None else None)
     # the product is dropped once compared, so it is not held through serialization
     equal = reduce(matmul, factors).same_entries(kl_matrix(args.cache))
     nonneg = all(m.is_nonneg_poly_matrix() for m in factors)

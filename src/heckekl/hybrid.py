@@ -32,15 +32,17 @@ distinct value once, and matmul and same_entries read their packed dicts.
 The digit width K always comes from laurent.width applied to a bound on the
 L1 norms:
 
-* back-substitution (expand_in_hybrid, restriction_coeffs, parabolic_kl,
-  the block of transition_matrix) reads the KL columns as the KL kernel
-  packed them (through kl_column), in Z[q] at offset 0, and a Hecke
-  element's packed dict as stored.  Next to each work value runs an integer
-  bound on its L1 norm: the input's, plus |d_v|_1 times the largest
-  |h_{x,v}|_1 of column v for every d_v whose column reaches it.  If a
-  bound reaches 2^(K-2), the whole call runs again at the width the bounds
-  give, with the inputs repacked at that width for the call; ExactnessError
-  if that width is no wider.
+* back-substitution has one owner, _solve, which expand_in_hybrid,
+  restriction_coeffs, parabolic_kl and the block of transition_matrix call
+  with their jobs: the vectors to expand, each as (index, packed entry)
+  pairs at the width K it is given, with a bound on their L1 norms.  It
+  splits each vector by coset uW_J and solves each piece against the KL
+  columns of W_J, read as the KL kernel packed them (through kl_column), in
+  Z[q] at offset 0.  Next to each work value runs an integer bound on its
+  L1 norm: the input's, plus |d_v|_1 times the largest |h_{x,v}|_1 of
+  column v for every d_v whose column reaches it.  If a bound reaches
+  2^(K-2), all jobs run again at the width the bounds give, with the inputs
+  repacked at that width; ExactnessError if that width is no wider.
 * matmul takes K from the a-priori bound (largest |a_xy|_1) * (largest
   column sum of |b_yw|_1) on every entry of the product, and raises
   ExactnessError if the bound does not fit; the product is packed at K.
@@ -101,16 +103,12 @@ def expand_in_hybrid(
         return {sys.inverse(x): c for x, c in inner.items()}
     if h.is_zero():
         return {}
-    split, join = sys.coset_index(J)
     els = sys.elements()
     bound = h._l1 if width(h._l1) <= h.K else h._exact_l1()  # bounds every |h_x|_1
-
-    def run(solver: _Solver) -> dict[Element, LaurentPoly]:
-        pieces = _pieces(split, _packed_at(h, solver.K, h.off).items())  # h.off: every exponent + off >= 0
-        decode = decoder(solver.K, h.off)
-        return {els[x]: decode(d) for x, d in _solve_pieces(solver, pieces, join, bound).items()}
-
-    return _at_safe_width(cache, bound, run)
+    # h.off: every exponent + off >= 0
+    K, solved = _solve(cache, J, bound, lambda K, column: [(0, _packed_at(h, K, h.off).items(), bound)])
+    decode = decoder(K, h.off)
+    return {els[x]: decode(d) for x, d in solved[0].items()}
 
 
 def restriction_coeffs(
@@ -132,12 +130,12 @@ def restriction_coeffs(
     split = sys.coset_index(J)[0]
     ui, wi, els = sys.index(u), sys.index(w), sys.elements()
 
-    def run(solver: _Solver) -> dict[Element, LaurentPoly]:
-        tvec = {split[x][1]: h for x, h in solver.column(wi) if split[x][0] == ui}
-        decode = decoder(solver.K, 0)
-        return {els[v]: decode(d) for v, d in solver.solve(tvec, cache._column_l1(wi)).items()}
+    def jobs(K, column):  # only the coset u*W_J of column w: solving every coset costs more
+        return [(0, [(x, h) for x, h in column(wi) if split[x][0] == ui], cache._column_l1(wi))]
 
-    return _at_safe_width(cache, 1, run)
+    K, solved = _solve(cache, J, 1, jobs)
+    decode = decoder(K, 0)
+    return {els[split[x][1]]: decode(d) for x, d in solved[0].items()}
 
 
 # ---------------------------------------------------------------------------
@@ -145,97 +143,65 @@ def restriction_coeffs(
 # ---------------------------------------------------------------------------
 
 
-class _Solver:
-    """Back-substitution against the KL columns packed at digit width K.
+def _solve(cache: KLCache, J: frozenset[int], bound: int, jobs) -> tuple[int, dict]:
+    """TC^J coordinates of packed vectors: (K, {key: {index of uv: d_v}}),
+    zeros omitted, for each vector sum_x h_x T_x = sum_{u,v} d_v T_u C_v.
 
-    column(i) gives the (index, packed entry) pairs of column i, read through
-    kl_column: at the KL kernel's own width from the column's arrays, at a
-    wider K repacked for this call only.  worst is the largest L1 bound of
-    any value popped so far.
+    jobs(K, column) gives (key, pairs, bound) triples: pairs are the (index,
+    packed entry) pairs of one vector at digit width K, each |entry|_1 <=
+    bound, and column(i) gives those of KL column i at K (at the KL kernel's
+    width from the column's arrays, at a wider K repacked once per column).
+    Each vector is split by coset uW_J and each piece solved in decreasing
+    index order, since a column of v reaches only lower indices; exact, no
+    division.  Next to each work value runs a bound on its L1 norm: taking
+    d_v adds |d_v|_1 * (largest |h_{x,v}|_1) at every x of column v.  If a
+    bound reached 2^(K-2), all jobs run again at the width the bounds give.
     """
-
-    def __init__(self, cache: KLCache, K: int):
-        self.K, self.worst, self._cache, els = K, 0, cache, cache.system.elements()
-        self.column = lambda i: cache.kl_column(els[i])._pairs()
-        if K != _KL_WIDTH:
-            self.column = functools.cache(lambda i: _packed_at(cache.kl_column(els[i]), K, 0).items())
-
-    def solve(self, tvec: dict[int, int], bound: int) -> dict[int, int]:
-        """Solve sum_v d_v C_v = sum_v tvec[v] T_v inside a parabolic subgroup,
-        each |tvec[v]|_1 <= bound: {v: d_v}, zeros omitted.
-
-        Decreasing index order, since a column of v only reaches lower
-        indices; exact, no division.  Next to each work value runs a bound on
-        its L1 norm: popping d_v adds |d_v|_1 * (largest |h_{x,v}|_1) to the
-        bound at every x of column v.
-        """
-        column, l1 = self.column, self._cache._column_l1
-        work = dict(tvec)
-        bounds = dict.fromkeys(tvec, bound)
-        heap = [-v for v in work]
-        heapify(heap)
-        out: dict[int, int] = {}
-        worst = self.worst
-        while heap:
-            v = -heappop(heap)
-            c = work.pop(v)
-            b = bounds.pop(v)
-            if b > worst:
-                worst = b
-            if not c:
-                continue
-            out[v] = c
-            bl = b * l1(v)
-            for x, h in column(v):
-                if x == v:
-                    continue
-                r = work.get(x)
-                if r is None:
-                    work[x] = -c * h
-                    bounds[x] = bl
-                    heappush(heap, -x)
-                else:
-                    work[x] = r - c * h
-                    bounds[x] += bl
-        self.worst = worst
-        return out
-
-
-def _at_safe_width(cache: KLCache, bound: int, run):
-    """run(solver) at the width for bound; if a value's L1 bound reached
-    2^(K-2), run it again at the width the bounds give."""
+    split, join = cache.system.coset_index(J)
+    els, l1 = cache.system.elements(), cache._column_l1
     K = width(bound)
     while True:
-        solver = _Solver(cache, K)
-        out = run(solver)
-        if solver.worst < 1 << K - 2:
-            return out
-        wider = width(solver.worst)
+        if K == _KL_WIDTH:
+            column = lambda i: cache.kl_column(els[i])._pairs()
+        else:
+            column = functools.cache(lambda i: _packed_at(cache.kl_column(els[i]), K, 0).items())
+        worst, solved = 0, {}
+        for key, pairs, b0 in jobs(K, column):
+            pieces: dict[int, dict[int, int]] = {}  # u -> {v: entry at uv}
+            for x, h in pairs:
+                u, v = split[x]
+                pieces.setdefault(u, {})[v] = h
+            out = solved[key] = {}
+            for u, work in pieces.items():
+                row, bounds = join[u], dict.fromkeys(work, b0)
+                heap = [-v for v in work]
+                heapify(heap)
+                while heap:
+                    v = -heappop(heap)
+                    c, b = work.pop(v), bounds.pop(v)
+                    if b > worst:
+                        worst = b
+                    if not c:
+                        continue
+                    out[row[v]] = c
+                    bl = b * l1(v)
+                    for x, h in column(v):
+                        if x == v:
+                            continue
+                        r = work.get(x)
+                        if r is None:
+                            work[x] = -c * h
+                            bounds[x] = bl
+                            heappush(heap, -x)
+                        else:
+                            work[x] = r - c * h
+                            bounds[x] += bl
+        if worst < 1 << K - 2:
+            return K, solved
+        wider = width(worst)
         if wider <= K:
-            raise ExactnessError(
-                f"packed back-substitution: no digit width wider than {K} for bound {solver.worst}"
-            )
+            raise ExactnessError(f"packed back-substitution: no digit width wider than {K} for bound {worst}")
         K = wider
-
-
-def _pieces(split: list[tuple[int, int]], col: Iterable[tuple[int, int]]) -> dict[int, dict[int, int]]:
-    """u -> {v: h_uv}, the part on each coset uW_J of a packed column given as
-    (index, entry) pairs (split: coset_index(J)[0])."""
-    pieces: dict[int, dict[int, int]] = {}
-    for x, h in col:
-        u, v = split[x]
-        pieces.setdefault(u, {})[v] = h
-    return pieces
-
-
-def _solve_pieces(solver: _Solver, pieces, join, bound: int) -> dict[int, int]:
-    """Back-substitute each coset's piece; {index of uv: d_v} over all cosets uW_J."""
-    out: dict[int, int] = {}
-    for u, tvec in pieces.items():
-        row = join[u]
-        for v, d in solver.solve(tvec, bound).items():
-            out[row[v]] = d
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -362,17 +328,8 @@ def transition_matrix(cache: KLCache, I: Iterable[int], J: Iterable[int]) -> Tra
         raise ValueError(f"I must be contained in J, got I={sorted(I)}, J={sorted(J)}")
     order = sys.elements()
     # column vp of the block: C_vp (vp in W_J) expanded in TC^I
-    split_i, join_i = sys.coset_index(I)
     split_j, join_j = sys.coset_index(J)
-
-    def run(solver: _Solver) -> tuple[int, dict[int, dict[int, int]]]:
-        block = {}
-        for vp in join_j[0]:  # W_J
-            pieces = _pieces(split_i, solver.column(vp))
-            block[vp] = _solve_pieces(solver, pieces, join_i, cache._column_l1(vp))
-        return solver.K, block
-
-    K, block = _at_safe_width(cache, 1, run)
+    K, block = _solve(cache, I, 1, lambda K, column: ((vp, column(vp), cache._column_l1(vp)) for vp in join_j[0]))
     decode = decoder(K, 0)
     cols: dict[Element, Mapping[Element, LaurentPoly]] = {}
     for w, (u, vp) in zip(order, split_j):
@@ -462,18 +419,10 @@ def parabolic_kl(cache: KLCache, J: Iterable[int]) -> dict[tuple[Element, Elemen
     matrix over W^J x W^J: entry (u, u') is the identity-component
     restriction coefficient of C_{u'} at u.  Zeros omitted."""
     sys = cache.system
+    J = sys.subset(J)
     split, join = sys.coset_index(J)
     els = sys.elements()
-
-    def run(solver: _Solver) -> dict[tuple[Element, Element], LaurentPoly]:
-        decode = decoder(solver.K, 0)
-        out = {}
-        for up in join:  # W^J
-            bound = cache._column_l1(up)
-            for u, tvec in _pieces(split, solver.column(up)).items():
-                c = solver.solve(tvec, bound).get(0)  # index 0: the identity
-                if c:
-                    out[(els[u], els[up])] = decode(c)
-        return out
-
-    return _at_safe_width(cache, 1, run)
+    K, solved = _solve(cache, J, 1, lambda K, column: ((up, column(up), cache._column_l1(up)) for up in join))
+    decode = decoder(K, 0)
+    # the entries at u = u*e, whose W_J part is the identity (index 0)
+    return {(els[x], els[up]): decode(d) for up, out in solved.items() for x, d in out.items() if split[x][1] == 0}

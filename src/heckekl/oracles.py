@@ -54,7 +54,7 @@ def sign_project(h: HeckeElement, J: Iterable[int]) -> SignModuleElement:
     for w, c in h.terms.items():
         u, v = split[index(w)]
         lv = sys.length(els[v])
-        _add(out, els[u], c * LaurentPoly.q_power(lv, (-1) ** lv))
+        _add(out, els[u], c * LaurentPoly.q_power(lv, (-1) ** lv) if lv else c)
     return SignModuleElement(sys, J, out)
 
 

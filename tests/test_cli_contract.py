@@ -64,6 +64,14 @@ def test_output_into_a_missing_directory_is_a_clean_error(tmp_path, capsys):
     assert "No such file or directory" in err
 
 
+@pytest.mark.parametrize("chain", ["", "@"], ids=["empty", "at-sign"])
+def test_chain_of_only_the_empty_set_is_a_clean_error(capsys, chain):
+    # an empty field is the empty set, so "" is the chain {} and not the default
+    code, out, err = run(capsys, "factorize", "--group", "A2", "--chain", chain)
+    assert_clean_error(code, out, err)
+    assert "chain must end at the full generator set" in err
+
+
 def test_damaged_loaded_column_is_a_clean_error(tmp_path, capsys):
     # a parseable A2 cache without C_{121}, whose column of C_{12} is damaged:
     # computing C_{121} = C_{12} C_1 - C_1 trips the KL guard

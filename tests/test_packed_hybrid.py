@@ -167,15 +167,18 @@ def test_restriction_coeffs_match_reference(group):
 
 
 def spy_widths(monkeypatch):
-    """The digit width of every _Solver the hybrid layer makes."""
+    """The digit width of every run of the hybrid layer's back-substitution."""
     widths = []
-    solver = hybrid._Solver
+    solve = hybrid._solve
 
-    def spy(cache, K):
-        widths.append(K)
-        return solver(cache, K)
+    def spy(cache, J, bound, jobs):
+        def spied(K, column):
+            widths.append(K)
+            return jobs(K, column)
 
-    monkeypatch.setattr(hybrid, "_Solver", spy)
+        return solve(cache, J, bound, spied)
+
+    monkeypatch.setattr(hybrid, "_solve", spy)
     return widths
 
 
@@ -204,6 +207,28 @@ def test_bounds_past_the_width_redo_the_call_wider(monkeypatch):
     spec = HybridBasisSpec(sys.generators)
     assert expand_in_hybrid(cache, h, spec) == ref_expand_in_hybrid(cache, h, spec)
     assert widths[0] == 64 and len(widths) == 2 and widths[1] > 64
+
+
+@pytest.mark.parametrize("group", GROUPS)
+def test_every_caller_agrees_at_a_forced_wider_width(group, monkeypatch):
+    # at K = 128 the back-substitution reads each KL column repacked
+    cache = get_cache(group)
+    sys = cache.system
+    ws = random.Random(11).sample(sys.elements(), 6)
+    Js = list(subsets(sys))
+
+    def results():
+        restricted = [
+            restriction_coeffs(cache, u, w, J) for J in Js for w in ws for u in sys.min_coset_reps(J, "left")
+        ]
+        matrices = [transition_matrix(cache, I, J).to_json_obj() for J in Js for I in Js if I <= J]
+        return restricted, [parabolic_kl(cache, J) for J in Js], matrices
+
+    narrow = results()
+    widths = spy_widths(monkeypatch)
+    monkeypatch.setattr(hybrid, "width", lambda b: max(128, b.bit_length() + 2))
+    assert results() == narrow
+    assert set(widths) == {128}
 
 
 def test_expand_in_hybrid_of_zero_and_dense_elements():
