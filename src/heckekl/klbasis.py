@@ -29,10 +29,11 @@ coefficient of C_v C_s at y is h_{ys,v} + (h_{y,v} >> 64 if ys < y, else
 h_{y,v} << 64); mu is digit 1.  A guard raises ExactnessError naming the
 column unless its diagonal is 1, each >> 64 was exact, (2 + sum of mu) *
 (largest coefficient so far) < 2^62 (so decoding is unique) and all entries
-are >= 0 with digits < 2^62.  load runs it on each column it reads (an entry
-of degree above l(w0) does not pack, so its column fails); a column that
-fails is not stored, and reading it raises the guard's error.  A relabeled
-column holds its partner's ints, so it needs no guard.
+are >= 0 with digits < 2^62.  load decodes, guards and stores the file's
+columns one at a time, so it never holds the whole decoded file (an entry of
+degree above l(w0) does not pack, so its column fails); a column that fails
+is not stored, and reading it raises the guard's error.  A relabeled column
+holds its partner's ints, so it needs no guard.
 
 Each column is stored as two arrays: its rows (element indices) and, per
 row, an id into the cache's one list of distinct packed entries, so equal
@@ -54,10 +55,12 @@ import gzip
 import io
 import json
 import os
+import re
 from array import array
 from collections.abc import Mapping
 from functools import cache, reduce
 from itertools import chain, combinations
+from json.decoder import WHITESPACE, JSONDecodeError, scanstring
 from operator import or_
 from typing import Iterable
 
@@ -70,6 +73,11 @@ _CACHE_FORMAT = 1
 _DIGIT = 64  # bits per packed coefficient: h(q) is stored as h(2^64)
 _MASK = (1 << _DIGIT) - 1
 _LIMIT = 1 << 62  # every packed coefficient stays below this
+
+_decode, _WS = json.JSONDecoder().raw_decode, WHITESPACE.match  # load's JSON reader
+_OPEN = re.compile(r'[ \t\n\r]*\{[ \t\n\r]*(?:(")|\})').match  # "{" and a key's quote, or "{}"
+_COLON = re.compile(r"[ \t\n\r]*:[ \t\n\r]*").match
+_NEXT = re.compile(r'[ \t\n\r]*(?:(,)[ \t\n\r]*"|\})').match  # "," and a key's quote, or "}"
 
 
 class _Ids(dict):
@@ -273,24 +281,15 @@ class KLCache:
 
     @classmethod
     def load(cls, path, system: CoxeterSystem) -> "KLCache":
+        """The cache saved at path.  Each column is decoded, guarded and stored
+        before the next is decoded, so "format" and "group" must come before
+        "columns" (save writes them first); two members must not name one column."""
         with gzip.open(path, "rt", encoding="utf-8") as fh:
-            try:
-                obj = json.load(fh)
-            except RecursionError:  # the parser's own limit, on deeply nested arrays or objects
-                raise ValueError("cache file is not valid JSON") from None
-        if type(obj) is not dict:
-            raise ValueError("cache file is not a JSON object")
-        if obj.get("format") != _CACHE_FORMAT or type(obj["format"]) is not int:  # true == 1.0 == 1
-            raise ValueError(f"unsupported cache format {obj.get('format')!r}")
-        if obj.get("group") != system.type_string:
-            raise ValueError(f"cache is for group {obj.get('group')!r}, not {system.type_string}")
-        columns = obj.get("columns")
-        if type(columns) is not dict or not {*map(type, columns.values())} <= {dict}:
-            raise ValueError("cache columns are not an object of objects")
+            text = fh.read()
         out = cls(system)
         els, values = system.elements(), out._values
         top = system.length(system.longest_element())  # no KL polynomial has a higher degree
-        packs: dict[tuple, int | None] = {}  # the id of each distinct JSON polynomial's pack (None: not packable)
+        head: dict = {}  # the top-level members so far; "columns" maps to None once reached
 
         @cache
         def index(text: str) -> int:
@@ -299,23 +298,43 @@ class KLCache:
                 raise ValueError(f"cache word {text!r} is not the canonical word of its element")
             return i
 
-        def entry_id(obj) -> int | None:
-            key = tuple(obj.items())
-            if key not in packs:
-                p = LaurentPoly.from_json_obj(obj)
+        class Packs(dict):  # a JSON entry's items -> the id of its pack (None: not packable), made once
+            def __missing__(self, key: tuple) -> int | None:
+                p = LaurentPoly.from_json_obj(dict(key))
                 # in Z[q] with digits < 2^62 and degree <= l(w0), which also keeps
                 # the guard quick: its digit loop is quadratic in the degree
                 ok = all(0 <= e <= top and 0 <= c < _LIMIT for e, c in p.items())
-                packs[key] = out._ids[pack(p, _DIGIT, 0)] if ok else None
-            return packs[key]
+                self[key] = k = out._ids[pack(p, _DIGIT, 0)] if ok else None
+                return k
 
-        for wtext, col in columns.items():
+        def check_head():  # run when "columns" is reached
+            if head.get("format") != _CACHE_FORMAT or type(head["format"]) is not int:  # true == 1.0 == 1
+                raise ValueError(f"unsupported cache format {head.get('format')!r}")
+            if head.get("group") != system.type_string:
+                raise ValueError(f"cache is for group {head.get('group')!r}, not {system.type_string}")
+
+        def member(key: str, pos: int) -> int:
+            if key != "columns":
+                head[key], end = _decode(text, pos)
+                return end
+            if "columns" in head:
+                raise ValueError("cache file has two columns members")
+            check_head()
+            head["columns"] = None
+            return _members(text, pos, column, "cache columns are not an object of objects")
+
+        def column(wtext: str, pos: int) -> int:
+            i = index(wtext)
+            if els[i] in out._columns or els[i] in out._damaged:
+                raise ValueError(f"cache column {wtext!r} appears twice")
+            col, end = _decode(text, pos)
+            if type(col) is not dict:
+                raise ValueError("cache columns are not an object of objects")
             polys = col.values()  # int() would also take a float or a bool coefficient
             coeffs = chain.from_iterable(map(dict.values, polys))  # read once every entry is an object
             if not {*map(type, polys)} <= {dict} or not {*map(type, coeffs)} <= {int, str}:
                 raise ValueError(f"cache column {wtext!r}: an entry is not an object of ints or decimal strings")
-            i = index(wtext)
-            ids = {index(xtext): entry_id(p) for xtext, p in col.items()}  # row -> id of its entry
+            ids = dict(zip(map(index, col), map(packs.__getitem__, map(tuple, map(dict.items, polys)))))
             try:  # the guard, on the diagonal and each distinct entry
                 if None in ids.values():
                     out._fail(i, "a loaded entry is not in Z[q] with degree <= l(w0) and coefficients in [0, 2^62)")
@@ -323,9 +342,37 @@ class KLCache:
                 out._guard_entries(i, diagonal, map(values.__getitem__, set(ids.values())))
             except ExactnessError as e:  # not stored: kl_column raises its message when the column is read
                 out._damaged[els[i]] = str(e)
-                continue
+                return end
             out._columns[els[i]] = out._view(_array(out._row_code, ids), _array(_code(len(values)), ids.values()))
+            return end
+
+        packs = Packs()
+        try:
+            end = _WS(text, _members(text, 0, member, "cache file is not a JSON object")).end()
+        except RecursionError:  # the parser's own limit, on deeply nested arrays or objects
+            raise ValueError("cache file is not valid JSON") from None
+        if end != len(text):
+            raise JSONDecodeError("Extra data", text, end)
+        if "columns" not in head:
+            check_head()
+            raise ValueError("cache columns are not an object of objects")
         return out
+
+
+def _members(text: str, pos: int, member, what: str) -> int:
+    """Walk the JSON object at text[pos:] and return its end; member(key, start)
+    decodes each value and returns its end.  A non-object is refused as what."""
+    if not (m := _OPEN(text, pos)):
+        _decode(text, _WS(text, pos).end())  # invalid JSON is the parser's error
+        raise ValueError(what)
+    while m[1]:  # a key follows
+        key, pos = scanstring(text, m.end())
+        if not (m := _COLON(text, pos)):
+            raise JSONDecodeError("Expecting ':' delimiter", text, pos)
+        pos = member(key, m.end())
+        if not (m := _NEXT(text, pos)):
+            raise JSONDecodeError("Expecting ',' delimiter", text, pos)
+    return m.end()
 
 
 class KLOracle:

@@ -139,6 +139,56 @@ def test_malformed_cache_file_is_a_clean_error(tmp_path, capsys, edit):
     assert_clean_error(code, out, err)
 
 
+def _column_twice(text):
+    """text with column 1 written a second time, as the first member of "columns"."""
+    member = json.dumps({"1": json.loads(text)["columns"]["1"]})[1:-1]
+    return text.replace('"columns": {', '"columns": {' + member + ", ", 1)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_column_twice, "cache column '1' appears twice"),
+        # load checks format and group when it reaches "columns"; save writes them first
+        (lambda text: '{"columns": %s, "format": 1, "group": "A2"}' % json.dumps(json.loads(text)["columns"]),
+         "unsupported cache format None"),
+        (lambda text: text + " {}", "Extra data"),
+        (lambda text: text[:-1] + ', "columns": {}}', "cache file has two columns members"),
+    ],
+    ids=["repeated-column", "columns-first", "text-after-the-object", "second-columns"],
+)
+def test_malformed_cache_text_is_a_clean_error(tmp_path, capsys, edit, message):
+    # edits that the decoded object cannot show: member order, repeated keys, trailing text
+    cache_dir, path = _filled_cache_file(tmp_path, capsys)
+    path.write_bytes(gzip.compress(edit(gzip.decompress(path.read_bytes()).decode()).encode()))
+    code, out, err = run(capsys, "kl", "--group", "A2", "--cache-dir", str(cache_dir))
+    assert_clean_error(code, out, err)
+    assert message in err
+
+
+@pytest.mark.parametrize("layout", [{"indent": 2}, {"separators": (",", ":")}], ids=["indent-2", "compact"])
+def test_a_cache_file_laid_out_otherwise_is_loaded(tmp_path, capsys, layout):
+    cache_dir = tmp_path / "caches"
+    assert run(capsys, "kl", "--group", "A3", "--cache-dir", str(cache_dir))[0] == 0
+    path = cache_dir / "A3.klcache.gz"
+    saved = run(capsys, "kl", "--group", "A3", "--cache-dir", str(cache_dir))
+    path.write_bytes(gzip.compress(json.dumps(json.loads(gzip.decompress(path.read_bytes())), **layout).encode()))
+    relaid = path.read_bytes()
+    cache = KLCache.load(path, coxeter_system("A3"))
+    cache.fill()
+    assert cache.computed == 0  # every column came from the file
+    assert run(capsys, "kl", "--group", "A3", "--cache-dir", str(cache_dir)) == saved
+    assert saved[0] == 0 and path.read_bytes() == relaid  # a warm run leaves the file as it was
+
+
+def test_a_cache_file_without_columns_loads_as_an_empty_cache(tmp_path):
+    path = tmp_path / "A2.klcache.gz"
+    path.write_bytes(gzip.compress(b'{"format": 1, "group": "A2", "columns": {}}'))
+    cache = KLCache.load(path, coxeter_system("A2"))
+    cache.fill()
+    assert cache.computed == 6
+
+
 def test_exactness_error_without_a_message_names_its_type(capsys, monkeypatch):
     def fail(args):
         raise ExactnessError()

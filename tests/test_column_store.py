@@ -5,6 +5,7 @@ and value ids) until a reader needs random access."""
 import gzip
 import hashlib
 import json
+import tracemalloc
 from functools import reduce
 
 import pytest
@@ -63,6 +64,23 @@ def test_every_stored_column_is_a_view_of_its_packed_dict(tmp_path):
     damaged = KLCache.load(_damaged_a2_file(tmp_path), coxeter_system("A2"))
     for cache in (full, KLCache.load(path, s), damaged):
         assert cache._columns and all(type(col) is _Column for col in cache._columns.values())
+
+
+def test_load_peak_stays_near_the_text_of_the_file(tmp_path):
+    # load decodes one column at a time, so it never holds the whole decoded
+    # file: its peak is the text (read as bytes, then as str) and the columns
+    s = coxeter_system("B4")
+    cache = KLCache(s)
+    cache.fill()
+    path = tmp_path / "b4.klcache.gz"
+    size = len(_saved_bytes(cache, path))
+    tracemalloc.start()
+    try:
+        KLCache.load(path, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * size
 
 
 def test_a_column_that_did_not_pack_is_not_written_back(tmp_path):

@@ -160,6 +160,7 @@ _json = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
     max_leaves=6,
 )
+_separators = st.sampled_from([(", ", ": "), (",", ":"), (" ,\n", "\t:\r ")])
 _exponents = st.integers(-2, 8) | st.integers(40000, 70000)  # l(w0) = 6; unbounded, 60000 took seconds
 
 
@@ -170,7 +171,7 @@ def edited(draw):
     cw = draw(st.sampled_from(sorted(columns)))
     col = columns[cw]
     x = draw(st.sampled_from(sorted(col)))
-    kind = draw(st.sampled_from(["value", "coefficient", "exponent", "entry key", "column key", "nesting"]))
+    kind = draw(st.sampled_from(["value", "coefficient", "exponent", "entry key", "column key", "nesting", "layout"]))
     text = json.dumps(draw(_json))
     if kind == "value":
         col[x] = _HOLE
@@ -183,6 +184,11 @@ def edited(draw):
         col[draw(_words)] = col.pop(x)
     elif kind == "column key":
         columns[draw(_words)] = columns.pop(cw)
+    elif kind == "layout":  # the same members laid out otherwise, or column cw written twice
+        if draw(st.booleans()):
+            return json.dumps(obj, indent=draw(st.none() | st.integers(0, 3)), separators=draw(_separators))
+        member = json.dumps({cw: col})[1:-1]
+        return json.dumps(obj).replace('"columns": {', '"columns": {' + member + ", ", 1)
     else:  # wrap an entry, a column or the whole file in lists
         depth = draw(st.integers(1, 3000))
         where = draw(st.sampled_from(["entry", "column", "file"]))
@@ -197,7 +203,7 @@ def edited(draw):
     return json.dumps(obj).replace(json.dumps(_HOLE), text)
 
 
-@settings(database=None, deadline=None, derandomize=True, max_examples=60)
+@settings(database=None, deadline=None, derandomize=True, max_examples=70)
 @given(edited())
 def test_edited_cache_file_is_an_error_or_an_output(text):
     # an edit may also give a file the guard cannot tell from a true one
