@@ -1,9 +1,10 @@
 """Command-line front end: compute, export, and verify.
 
 Subcommands: kl | restrict | hybrid | factorize | parabolic | verify.
-Words are comma-separated generator indices ("1,2,1"); "e" is the identity.
-Chains are "<"-separated subsets ("@<1<1,2"), where "@", "e", or an empty
-field denote the empty set (the symbol U+2205 is also accepted).
+All text input goes through coxeter.parse_word: words and subsets are
+comma-separated generator indices ("1,2,1"), each ASCII digits; "", "e", "@"
+and U+2205 name both the identity and the empty set.  Chains are
+"<"-separated subsets ("@<1<1,2").
 
 main is the one run loop, in this order: parse the arguments; build the
 group and its KLCache, loaded from --cache-dir when that holds a file for
@@ -15,9 +16,9 @@ never touches the cache file or stdout.  An error in any step skips the
 steps after it.
 
 Exit codes: 0 success, 1 a checked property failed, 2 usage/parse/domain
-error, an I/O error, or an unreadable or damaged cache file (one line on
-stderr, no traceback).  Output is byte-deterministic for a fixed
-invocation: elements appear in canonical (length, word) order and
+error (argparse's own included), an I/O error, or an unreadable or damaged
+cache file (one line on stderr, no traceback).  Output is byte-deterministic
+for a fixed invocation: elements appear in canonical (length, word) order and
 polynomials use the fixed textual grammar from laurent.
 """
 
@@ -32,7 +33,7 @@ from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
 
-from .coxeter import coxeter_system, format_word, parse_word
+from .coxeter import _EMPTY_TOKENS, coxeter_system, format_word, parse_word
 from .klbasis import KLCache
 from .hybrid import (
     HybridBasisSpec,
@@ -49,20 +50,10 @@ from .hybrid import (
 from .laurent import ExactnessError, ZERO
 from .verification import SUITES, crystallographic_note, run_suite
 
-_EMPTY_TOKENS = {"", "e", "@", "∅"}
-
 
 def _parse_subset(text: str) -> frozenset[int]:
-    text = text.strip()
-    if text in _EMPTY_TOKENS:
-        return frozenset()
-    out = set()
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not (tok.isascii() and tok.isdigit()):  # "²".isdigit() too, but int() rejects it
-            raise ValueError(f"invalid generator index {tok!r} in subset {text!r}")
-        out.add(int(tok))
-    return frozenset(out)
+    """The letters of a word, as a set; each of _EMPTY_TOKENS is the empty set."""
+    return frozenset(parse_word(text))
 
 
 def _parse_chain(text: str) -> list[frozenset[int]]:
@@ -259,6 +250,13 @@ def cmd_verify(args) -> tuple[int, str]:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors leave through main's one error path."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--group", required=True, help="group type string, e.g. A3, B3, I2(7)")
@@ -269,7 +267,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--allow-large", action="store_true", help="lift the desk-scale group size bound"
     )
 
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="heckekl",
         description="Exact Hecke-algebra computations: KL bases, parabolic restriction, "
         "hybrid bases, and transition-matrix factorizations.",
@@ -307,13 +305,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
-    try:
+        args = _build_parser().parse_args(argv)  # --help still exits 0 through argparse
         args.cache = _make_cache(args)
         code, text = args.fn(args)
         _save_cache(args)

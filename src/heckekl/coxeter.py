@@ -408,7 +408,8 @@ class CoxeterSystem:
 # parsing / formatting
 # ---------------------------------------------------------------------------
 
-_GROUP_RE = re.compile(r"^(A|B|D)(\d+)$|^I2\((\d+)\)$")
+_GROUP_RE = re.compile(r"^(A|B|D)([0-9]+)$|^I2\(([0-9]+)\)$")  # \d would take "٣" too
+_EMPTY_TOKENS = frozenset({"", "e", "@", "∅"})  # the identity word, and the empty subset
 
 
 def coxeter_system(group: str, *, allow_large: bool = False) -> CoxeterSystem:
@@ -429,14 +430,14 @@ def format_word(word: Iterable[int]) -> str:
 
 
 def parse_word(text: str) -> list[int]:
-    """Inverse of format_word; "e" (or "") denotes the identity."""
+    """Inverse of format_word and the one reader of words, subsets and chain steps:
+    comma-separated ASCII-digit letters; each of _EMPTY_TOKENS is the identity (the empty set)."""
     text = text.strip()
-    if text in ("", "e"):
+    if text in _EMPTY_TOKENS:
         return []
     out = []
-    for pos, part in enumerate(text.split(","), 1):
-        try:
-            out.append(int(part.strip()))
-        except ValueError:
-            raise ValueError(f"invalid word {text!r}: token {part.strip()!r} at position {pos}") from None
+    for pos, tok in enumerate(map(str.strip, text.split(",")), 1):
+        if not (tok.isascii() and tok.isdigit()):  # int() would take "+1", "1_0" and "٢"
+            raise ValueError(f"invalid generator index {tok!r} at position {pos} in {text!r}")
+        out.append(int(tok))
     return out

@@ -292,15 +292,15 @@ def csv_grid(corner: str, labels: list[str], order: list, columns: Iterable[Mapp
     first column, one sparse {key: poly} column per label, keys in order; absent
     keys are "0".  Each distinct entry object is rendered and quoted once."""
     at = {x: k for k, x in enumerate(order)}
-    quoted: dict[int, str] = {}  # id(poly) -> its cell
+    quoted: dict[int, tuple] = {}  # id(poly) -> (poly, its cell): holding poly keeps its id unique
     grid, blank = [], [_csv_quote(str(ZERO))] * len(at)
     for col in columns:
         cells = blank.copy()
         for x, p in col.items():
-            cell = quoted.get(id(p))
-            if cell is None:
-                cell = quoted[id(p)] = _csv_quote(str(p))
-            cells[at[x]] = cell
+            hit = quoted.get(id(p))
+            if hit is None:
+                hit = quoted[id(p)] = (p, _csv_quote(str(p)))
+            cells[at[x]] = hit[1]
         grid.append(cells)
     labels = list(map(_csv_quote, labels))
     rows = (",".join(row) + "\n" for row in zip(labels, *grid))

@@ -55,7 +55,11 @@ class LaurentPoly:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping[str, int | str]) -> "LaurentPoly":
-        """Inverse of to_json_obj; accepts integer or decimal-string coefficients."""
+        """Inverse of to_json_obj; accepts integer or decimal-string coefficients, each string (key
+        or coefficient) as str() writes its int ("1", not "+1", "01" or " 1"): no two keys name one exponent."""
+        for text in (*obj, *(c for c in obj.values() if type(c) is str)):
+            if str(int(text)) != text:
+                raise ValueError(f"polynomial key or coefficient {text!r} is not a canonical integer")
         return cls({int(e): int(c) for e, c in obj.items()})
 
     # -- inspection --------------------------------------------------------

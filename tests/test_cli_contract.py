@@ -122,11 +122,16 @@ def _with(obj, keys, value):
         lambda obj: _with(
             obj, ["columns", "2,2,1"], {"2,2": obj["columns"]["1"][""], "1,1,1": obj["columns"].pop("1")["1"]}
         ),
+        # exponent keys and string coefficients only as str() writes them: "+1" and "1" name one exponent
+        lambda obj: _with(obj, ["columns", "1", ""], {"1": 1, "+1": 5}),
+        lambda obj: _with(obj, ["columns", "1", ""], {"01": 1}),
+        lambda obj: _with(obj, ["columns", "1", ""], {"1": " 5"}),
     ],
     ids=[
         "list-entry", "list-column", "list-top-level", "no-columns", "columns-list",
         "float-coefficient", "fractional-coefficient", "bool-coefficient", "list-coefficient",
         "null-coefficient", "bool-format", "float-format", "huge-exponent", "non-canonical-word",
+        "plus-exponent", "zero-padded-exponent", "spaced-coefficient",
     ],
 )
 def test_malformed_cache_file_is_a_clean_error(tmp_path, capsys, edit):
@@ -189,6 +194,29 @@ def test_a_cache_file_without_columns_loads_as_an_empty_cache(tmp_path):
     assert cache.computed == 6
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kl", "--group", "A2", "--w", "٢,1"],  # int() reads the Arabic-Indic digit as 2
+        ["kl", "--group", "A2", "--w", "+1"],
+        ["restrict", "--group", "A2", "--J", "2", "--u", "+1", "--w", "1"],  # u = 1 is minimal for J = {2}
+        ["factorize", "--group", "A2", "--chain", "@<٢"],
+        ["kl", "--group", "A٣"],
+        ["kl", "--group", "I2(٧)"],
+        ["verify", "--group", "A2", "--suite", "nope"],
+        ["kl", "--group", "A2", "--format", "xml"],
+        ["kl"],
+        [],
+    ],
+    ids=[
+        "non-ascii-word", "plus-word", "plus-u", "non-ascii-chain", "non-ascii-rank", "non-ascii-dihedral",
+        "unknown-suite", "unknown-format", "missing-group", "no-arguments",
+    ],
+)
+def test_bad_input_is_a_clean_error(capsys, argv):
+    assert_clean_error(*run(capsys, *argv))
+
+
 def test_exactness_error_without_a_message_names_its_type(capsys, monkeypatch):
     def fail(args):
         raise ExactnessError()
@@ -239,3 +267,5 @@ def test_python_dash_m_runs_the_cli(capsys):
     assert proc.returncode == 0, proc.stderr
     code, out, _ = run(capsys, "verify", "--group", "A2")
     assert code == 0 and proc.stdout == out
+    proc = subprocess.run([sys.executable, "-m", "heckekl", "--help"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0 and proc.stdout.startswith("usage: heckekl") and proc.stderr == ""

@@ -1,5 +1,7 @@
+import csv
 import json
 import random
+from collections.abc import Mapping
 
 import pytest
 
@@ -340,3 +342,28 @@ def test_matrix_csv_shape():
     # diagonal of the KL matrix is 1*q^0
     cells = lines[1].split(",")
     assert cells[1] == '"1*q^0"'
+
+
+class _FreshEntries(Mapping):
+    """A column whose every read builds a new polynomial, row k holding k + 1:
+    each object is freed once read, so the next one may reuse its id."""
+
+    def __init__(self, order):
+        self._at = {x: k for k, x in enumerate(order)}
+
+    def __getitem__(self, x):
+        return LaurentPoly(self._at[x] + 1)
+
+    def __iter__(self):
+        return iter(self._at)
+
+    def __len__(self):
+        return len(self._at)
+
+
+def test_csv_cells_of_short_lived_polynomials():
+    s = coxeter_system("A2")
+    order = tuple(s.elements())
+    m = TransitionMatrix(s, frozenset(), frozenset(s.generators), order, {w: _FreshEntries(order) for w in order})
+    rows = list(csv.reader(m.to_csv().splitlines()))[1:]
+    assert [row[1:] for row in rows] == [[f"{k}*q^0"] * 6 for k in range(1, 7)]

@@ -55,9 +55,10 @@ def test_any_text_parses_or_raises_value_error(text):
 @checked
 @given(st.text(alphabet=st.characters(categories=["Nd", "No"]), min_size=1).filter(lambda t: not t.isascii()))
 def test_non_ascii_digits_are_not_generator_indices(tok):
-    try:
-        _parse_subset(tok)
-    except ValueError as exc:
-        assert "invalid generator index" in str(exc)
-    else:
-        raise AssertionError(f"{tok!r} was accepted")
+    for parse in (parse_word, _parse_subset, _parse_chain):
+        try:
+            parse(tok)
+        except ValueError as exc:
+            assert "invalid generator index" in str(exc)
+        else:
+            raise AssertionError(f"{parse.__name__} accepted {tok!r}")
