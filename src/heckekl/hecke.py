@@ -24,9 +24,11 @@ another K is repacked, once per distinct value.  Equal elements at one K
 have equal dicts.
 
 The product is Horner over right descents (_walk): walking indices
-downward, add T_t A_y into A_{yt} (t a right descent of y), A_y starting as
-a_y b once y is reached; the result is A_e.  bar(a) is the same walk with
-bar(T_t) = T_t + (q - q^-1) for T_t, over the barred a_y and b = 1;
+downward, add T_t A_y into A_{yt} (t the last letter of y), A_y starting as
+a_y b once y is reached, from one product per distinct pair of values of a
+and b; the result is A_e.  bar(a) is the same walk with
+bar(T_t) = T_t + (q - q^-1) for T_t, over the barred a_y and b = 1, and is
+kept on a (its result keeps none, so bar(bar(a)) walks again);
 form(a, b) is bar(a) dotted with b, coefficient by coefficient over supp(b).
 Offsets keep every exponent of every intermediate >= 0, so each q^-1 step
 is an exact ``>> K``; an OR of the shifted operands checks their low digits
@@ -120,14 +122,14 @@ class _Column(Mapping):
 class HeckeElement:
     """A finite Z[q,q^-1]-combination of standard basis elements T_w."""
 
-    __slots__ = ("system", "_packed", "K", "off", "_l1", "_view")
+    __slots__ = ("system", "_packed", "K", "off", "_l1", "_view", "_bar")
 
     def __init__(self, system: CoxeterSystem, terms: Mapping[Element, LaurentPoly]):
         terms = {system.index(w): c for w, c in terms.items() if not c.is_zero()}
         norms = list(map(LaurentPoly.l1, terms.values()))
         K = width(max(norms, default=0))
         off = -min(map(LaurentPoly.min_exp, terms.values()), default=0)
-        self.system, self.K, self.off, self._l1, self._view = system, K, off, sum(norms), None
+        self.system, self.K, self.off, self._l1, self._view, self._bar = system, K, off, sum(norms), None, None
         self._packed = {x: pack(c, K, off) for x, c in terms.items()}
 
     # -- inspection ----------------------------------------------------
@@ -228,7 +230,13 @@ class HeckeElement:
 
     def bar(self) -> "HeckeElement":
         """Bar involution: semilinear over q -> q^-1, T_x -> (T_{x^-1})^-1;
-        the product's walk with bar(T_t) for T_t (module docstring)."""
+        the product's walk with bar(T_t) for T_t (module docstring).  Kept on
+        self after the first call; the result keeps none, so its bar walks."""
+        if self._bar is None:
+            self._bar = self._walk_bar()
+        return self._bar
+
+    def _walk_bar(self) -> "HeckeElement":
         sys = self.system
         if not self._packed:
             return HeckeElement(sys, {})
@@ -303,7 +311,7 @@ def _element(system, packed: dict[int, int], K: int, off: int, l1: int, view: _C
     """The element over packed values computed here (no zeros, no filter), l1 a
     bound on its L1 norm, view (if given) the view of packed."""
     h = HeckeElement.__new__(HeckeElement)
-    h.system, h._packed, h.K, h.off, h._l1, h._view = system, packed, K, off, l1, view
+    h.system, h._packed, h.K, h.off, h._l1, h._view, h._bar = system, packed, K, off, l1, view, None
     return h
 
 
@@ -356,12 +364,20 @@ def _walk(system: CoxeterSystem, seed: dict[int, int], b: dict[int, int], K: int
     """A_e of the Horner walk over right descents (module docstring): walking
     indices downward, step adds the generator t times A_y into A_{yt} (t the
     last letter of y), A_y starting as seed[y] b once y is reached.  step
-    returns the OR of its operands of >> K, whose low digit must be 0."""
-    els, b = system.elements(), list(b.items())
+    returns the OR of its operands of >> K, whose low digit must be 0.  Each
+    distinct pair (seed value, b value) is multiplied once: at one (K, off),
+    equal ints are equal values."""
+    last, values, b = system.last_letter, set(b.values()), list(b.items())
+    products: dict[int, dict[int, int]] = {}  # seed value ca -> {bw: ca * bw}
 
     def start(y: int) -> dict[int, int]:  # A_y when y is first reached: seed[y] b, or 0
         ca = seed.get(y)
-        return {} if ca is None else {w: ca * bw for w, bw in b}
+        if ca is None:
+            return {}
+        m = products.get(ca)
+        if m is None:
+            m = products[ca] = {bw: ca * bw for bw in values}
+        return {w: m[bw] for w, bw in b}
 
     acc: dict[int, dict[int, int]] = {}
     heap, low = [-y for y in seed], 0
@@ -371,7 +387,7 @@ def _walk(system: CoxeterSystem, seed: dict[int, int], b: dict[int, int], K: int
         row = acc.pop(y, None) or start(y)  # a row in acc is never empty
         if not y:
             break
-        t = system.word(els[y])[-1]
+        t = last[y]
         yt = system.right_index[t - 1][y]
         dest = acc.get(yt)
         if dest is None:

@@ -98,6 +98,15 @@ def test_json_round_trip():
     assert ZERO.to_json_obj() == {}
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [{"0": 1.5}, {"0": 1.0}, {"0": True}, {"0": False}, {"1": None}, {"1": [1]}, {None: 1}, {"+1": 1}, {"0": "01"}],
+)
+def test_json_refuses_what_is_not_an_int_or_a_canonical_decimal(obj):
+    with pytest.raises(ValueError):
+        LaurentPoly.from_json_obj(obj)
+
+
 def test_module_doctests_pass():
     result = doctest.testmod(heckekl.laurent)
     assert result.attempted and result.failed == 0

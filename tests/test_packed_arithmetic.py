@@ -158,6 +158,38 @@ def test_packed_bar_matches_reference(group):
         assert t_basis(s, x).bar().terms == ref_bar_t(s, x)
 
 
+@pytest.mark.parametrize("group", ["B3", "D4", "I2(7)"])
+def test_repeated_wide_values_multiply_and_bar_exactly(group):
+    """Dense operands over a few distinct coefficients wider than 64 bits: the
+    walk multiplies each distinct pair of values once and reuses it."""
+    rng = random.Random(f"repeat {group}")
+    s = coxeter_system(group)
+    w0 = s.longest_element()
+    w = rng.choice([x for x in s.elements() if s.length(x) == s.length(w0) // 2])
+    polys = [big_poly(rng) for _ in range(3)]
+    a = _wrap(s, {x: rng.choice(polys) for x in s.bruhat_interval(w0)})
+    b = _wrap(s, {x: rng.choice(polys) for x in s.bruhat_interval(w)})
+    assert a.K > 64 and len(set(a._packed.values())) <= 3 < len(a._packed)
+    assert a * b == ref_mul(a, b)
+    assert b * a == ref_mul(b, a)
+    assert a.bar() == ref_bar(a)
+
+
+def test_bar_is_kept_on_its_element_only():
+    rng = random.Random("bar slot")
+    cache = get_cache("B3")
+    s = cache.system
+    h = big_element(s, rng, 5)
+    hbar = h.bar()
+    assert h.bar() is hbar
+    assert hbar._bar is None  # else hbar.bar() would hand back h without a walk
+    assert hbar.bar() == h and hbar.bar() is hbar.bar()
+    kl = cache.kl_element(s.longest_element())
+    assert kl.bar() == kl
+    made = [h.psi(), -h, h.restrict({1, 2}), h * hbar, hbar * h, kl * h, cache.kl_element(s.longest_element())]
+    assert all(x._bar is None for x in made)
+
+
 def test_bar_at_narrow_then_wide_then_narrow_widths():
     s = coxeter_system("B3")
     x = s.longest_element()
