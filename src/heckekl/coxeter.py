@@ -175,7 +175,7 @@ class CoxeterSystem:
         # elements of level L+1 are numbered in the order of their least
         # words, after all of level L.
         found = {ident: 0}
-        els, word, last, right = [ident], [()], [0], [[] for _ in gens]
+        els, word, right = [ident], [()], [[] for _ in gens]
         for b, w in enumerate(els):
             for i, g in enumerate(gens, 1):
                 v = real.multiply(w, g)
@@ -184,7 +184,6 @@ class CoxeterSystem:
                     j = found[v] = len(els)
                     els.append(v)
                     word.append(word[b] + (i,))
-                    last.append(i)
                 right[i - 1].append(j)
         if len(els) != real.order_formula:
             raise RuntimeError(f"enumeration produced {len(els)} elements, expected {real.order_formula}")
@@ -192,7 +191,6 @@ class CoxeterSystem:
         # is a right descent (indices follow length); left_index that of s_i * elements()[k]
         self.right_index = ri = tuple(right)
         self.left_index = li = tuple([found[real.multiply(g, w)] for w in els] for g in gens)
-        self.last_letter = last  # last_letter[k] is the last letter of word k (0 for the identity)
         self._elements = elements = tuple(els)
         self._index = found
         self._word = dict(zip(els, word))
@@ -299,7 +297,7 @@ class CoxeterSystem:
         sigma = [w0_times.index(li[top]) for li in self.left_index]
         conj = [0]
         for k in range(1, self.order):
-            s = self.last_letter[k] - 1
+            s = self._word[self._elements[k]][-1] - 1
             conj.append(ri[sigma[s]][conj[ri[s][k]]])
         return conj
 

@@ -24,11 +24,10 @@ another K is repacked, once per distinct value.  Equal elements at one K
 have equal dicts.
 
 The product is Horner over right descents (_walk): walking indices
-downward, add T_t A_y into A_{yt} (t the last letter of y), A_y starting as
-a_y b once y is reached, from one product per distinct pair of values of a
-and b; the result is A_e.  bar(a) is the same walk with
-bar(T_t) = T_t + (q - q^-1) for T_t, over the barred a_y and b = 1, and is
-kept on a (its result keeps none, so bar(bar(a)) walks again);
+downward, add T_t A_y into A_{yt} (t a right descent of y), A_y starting as
+a_y b once y is reached (a pair of values that repeats is multiplied once);
+the result is A_e.  bar(a) is the same walk with bar(T_t) = T_t + (q - q^-1)
+for T_t, over the barred a_y and b = 1, kept on a but not on its result;
 form(a, b) is bar(a) dotted with b, coefficient by coefficient over supp(b).
 Offsets keep every exponent of every intermediate >= 0, so each q^-1 step
 is an exact ``>> K``; an OR of the shifted operands checks their low digits
@@ -230,13 +229,9 @@ class HeckeElement:
 
     def bar(self) -> "HeckeElement":
         """Bar involution: semilinear over q -> q^-1, T_x -> (T_{x^-1})^-1;
-        the product's walk with bar(T_t) for T_t (module docstring).  Kept on
-        self after the first call; the result keeps none, so its bar walks."""
-        if self._bar is None:
-            self._bar = self._walk_bar()
-        return self._bar
-
-    def _walk_bar(self) -> "HeckeElement":
+        the product's walk with bar(T_t) for T_t (module docstring)."""
+        if self._bar is not None:
+            return self._bar
         sys = self.system
         if not self._packed:
             return HeckeElement(sys, {})
@@ -245,7 +240,8 @@ class HeckeElement:
         off = _depth(self) - min(p.min_exp() for p in bars.values())  # room for that many factors q^-1
         cbar = {P: pack(p, K, off) for P, p in bars.items()}
         seed = {x: cbar[P] for x, P in self._packed.items()}
-        return _result(sys, _walk(sys, seed, {0: 1}, K, _bar_step), K, off, bound)
+        self._bar = h = _result(sys, _walk(sys, seed, {0: 1}, K, _bar_step), K, off, bound)
+        return h
 
     def psi(self) -> "HeckeElement":
         """Linear anti-automorphism T_w -> T_{w^-1}, scalars fixed."""
@@ -364,19 +360,22 @@ def _walk(system: CoxeterSystem, seed: dict[int, int], b: dict[int, int], K: int
     """A_e of the Horner walk over right descents (module docstring): walking
     indices downward, step adds the generator t times A_y into A_{yt} (t the
     last letter of y), A_y starting as seed[y] b once y is reached.  step
-    returns the OR of its operands of >> K, whose low digit must be 0.  Each
-    distinct pair (seed value, b value) is multiplied once: at one (K, off),
-    equal ints are equal values."""
-    last, values, b = system.last_letter, set(b.values()), list(b.items())
-    products: dict[int, dict[int, int]] = {}  # seed value ca -> {bw: ca * bw}
+    returns the OR of its operands of >> K, whose low digit must be 0."""
+    els, values, b, left = system.elements(), set(b.values()), list(b.items()), {}
+    for ca in seed.values():  # left[ca]: the rows still to start from seed value ca
+        left[ca] = left.get(ca, 0) + 1
+    products: dict[int, dict[int, int]] = {}  # ca -> {bw: ca * bw} while left[ca]; exact at one (K, off)
 
     def start(y: int) -> dict[int, int]:  # A_y when y is first reached: seed[y] b, or 0
         ca = seed.get(y)
         if ca is None:
             return {}
-        m = products.get(ca)
-        if m is None:
-            m = products[ca] = {bw: ca * bw for bw in values}
+        left[ca] -= 1
+        if not (left[ca] or ca in products) and len(values) == len(b):  # no pair repeats
+            return {w: ca * bw for w, bw in b}
+        m = products.pop(ca, None) or {bw: ca * bw for bw in values}
+        if left[ca]:
+            products[ca] = m
         return {w: m[bw] for w, bw in b}
 
     acc: dict[int, dict[int, int]] = {}
@@ -387,7 +386,7 @@ def _walk(system: CoxeterSystem, seed: dict[int, int], b: dict[int, int], K: int
         row = acc.pop(y, None) or start(y)  # a row in acc is never empty
         if not y:
             break
-        t = last[y]
+        t = system.word(els[y])[-1]
         yt = system.right_index[t - 1][y]
         dest = acc.get(yt)
         if dest is None:

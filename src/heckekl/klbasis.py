@@ -168,7 +168,7 @@ class KLCache:
             if els[g[i]] in self._columns:  # read through kl_column, which counts reads
                 col = self.kl_column(els[g[i]])
                 return self._view(_array(self._row_code, map(g.__getitem__, col._rows)), col._ids)
-        right = self.system.right_index[self.system.last_letter[i] - 1]
+        right = self.system.right_index[self.system.word(els[i])[-1] - 1]
         colv = dict(self.kl_column(els[right[i]])._pairs())  # the one random-access read: colv.get(ys)
 
         # C_v C_s on pairs y < ys: h_y = h_{ys,v} + q h_{y,v} and

@@ -31,15 +31,6 @@ def test_lengths_match_the_realization_formulas(group):
 
 
 @pytest.mark.parametrize("group", ["A5", "B4", "D4", "I2(24)"])
-def test_last_letter_is_the_last_letter_of_the_word(group):
-    s = coxeter_system(group)
-    last = s.last_letter
-    assert len(last) == s.order and last[0] == 0
-    assert all(last[k] == s.word(w)[-1] for k, w in enumerate(s.elements()) if k)
-    assert all(s.right_index[last[k] - 1][k] < k for k in range(1, s.order))  # a right descent
-
-
-@pytest.mark.parametrize("group", ["A5", "B4", "D4", "I2(24)"])
 def test_inverse_inverts(group):
     s = coxeter_system(group)
     for w in s.elements():

@@ -161,7 +161,7 @@ def test_packed_bar_matches_reference(group):
 @pytest.mark.parametrize("group", ["B3", "D4", "I2(7)"])
 def test_repeated_wide_values_multiply_and_bar_exactly(group):
     """Dense operands over a few distinct coefficients wider than 64 bits: the
-    walk multiplies each distinct pair of values once and reuses it."""
+    walk multiplies a repeated pair of values once and reuses the product."""
     rng = random.Random(f"repeat {group}")
     s = coxeter_system(group)
     w0 = s.longest_element()
@@ -170,8 +170,10 @@ def test_repeated_wide_values_multiply_and_bar_exactly(group):
     a = _wrap(s, {x: rng.choice(polys) for x in s.bruhat_interval(w0)})
     b = _wrap(s, {x: rng.choice(polys) for x in s.bruhat_interval(w)})
     assert a.K > 64 and len(set(a._packed.values())) <= 3 < len(a._packed)
-    assert a * b == ref_mul(a, b)
-    assert b * a == ref_mul(b, a)
+    c = big_element(s, rng, 2 * len(b.terms))  # distinct values: seed or b repeats, or neither
+    assert len(set(c._packed.values())) == len(c._packed)
+    for x, y in [(a, b), (b, a), (a, c), (c, a), (c, c)]:
+        assert x * y == ref_mul(x, y)
     assert a.bar() == ref_bar(a)
 
 
