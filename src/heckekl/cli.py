@@ -33,7 +33,7 @@ from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
 
-from .coxeter import _EMPTY_TOKENS, coxeter_system, format_word, parse_word
+from .coxeter import coxeter_system, format_word, parse_word
 from .klbasis import KLCache
 from .hybrid import (
     HybridBasisSpec,
@@ -52,7 +52,7 @@ from .verification import SUITES, crystallographic_note, run_suite
 
 
 def _parse_subset(text: str) -> frozenset[int]:
-    """The letters of a word, as a set; each of _EMPTY_TOKENS is the empty set."""
+    """The letters of a word, as a set; an empty word (parse_word) is the empty set."""
     return frozenset(parse_word(text))
 
 

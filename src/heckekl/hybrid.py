@@ -38,11 +38,15 @@ L1 norms:
   pairs at the width K it is given, with a bound on their L1 norms.  It
   splits each vector by coset uW_J and solves each piece against the KL
   columns of W_J, read as the KL kernel packed them (through kl_column), in
-  Z[q] at offset 0.  Next to each work value runs an integer bound on its
-  L1 norm: the input's, plus |d_v|_1 times the largest |h_{x,v}|_1 of
-  column v for every d_v whose column reaches it.  If a bound reaches
-  2^(K-2), all jobs run again at the width the bounds give, with the inputs
-  repacked at that width; ExactnessError if that width is no wider.
+  Z[q] at offset 0, in one pass down W_J in canonical order.  That needs
+  each row x of column v to have an index no larger than v's (x <= v gives
+  l(x) <= l(v)); a loaded column is not yet checked against its Bruhat
+  interval, and a row out of that order is left unsolved.  Next to each
+  work value runs an integer bound on its L1 norm: the input's, plus
+  |d_v|_1 times the largest |h_{x,v}|_1 of column v for every d_v whose
+  column reaches it.  If a bound reaches 2^(K-2), all jobs run again at the
+  width the bounds give, with the inputs repacked at that width;
+  ExactnessError if that width is no wider.
 * matmul takes K from the a-priori bound (largest |a_xy|_1) * (largest
   column sum of |b_yw|_1) on every entry of the product, and raises
   ExactnessError if the bound does not fit; the product is packed at K.
@@ -52,7 +56,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from heapq import heapify, heappop, heappush
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping
 
@@ -151,8 +154,9 @@ def _solve(cache: KLCache, J: frozenset[int], bound: int, jobs) -> tuple[int, di
     packed entry) pairs of one vector at digit width K, each |entry|_1 <=
     bound, and column(i) gives those of KL column i at K (at the KL kernel's
     width from the column's arrays, at a wider K repacked once per column).
-    Each vector is split by coset uW_J and each piece solved in decreasing
-    index order, since a column of v reaches only lower indices; exact, no
+    Each vector is split by coset uW_J and each piece solved in one pass over
+    W_J from the top of canonical order: the rows of column v have indices no
+    larger than v's, so a value is final when the pass reaches it; exact, no
     division.  Next to each work value runs a bound on its L1 norm: taking
     d_v adds |d_v|_1 * (largest |h_{x,v}|_1) at every x of column v.  If a
     bound reached 2^(K-2), all jobs run again at the width the bounds give.
@@ -174,11 +178,11 @@ def _solve(cache: KLCache, J: frozenset[int], bound: int, jobs) -> tuple[int, di
             out = solved[key] = {}
             for u, work in pieces.items():
                 row, bounds = join[u], dict.fromkeys(work, b0)
-                heap = [-v for v in work]
-                heapify(heap)
-                while heap:
-                    v = -heappop(heap)
-                    c, b = work.pop(v), bounds.pop(v)
+                for v in reversed(join[0]):  # W_J from the top: rows of column v lie below v
+                    c = work.pop(v, None)
+                    if c is None:
+                        continue
+                    b = bounds[v]
                     if b > worst:
                         worst = b
                     if not c:
@@ -186,16 +190,9 @@ def _solve(cache: KLCache, J: frozenset[int], bound: int, jobs) -> tuple[int, di
                     out[row[v]] = c
                     bl = b * l1(v)
                     for x, h in column(v):
-                        if x == v:
-                            continue
-                        r = work.get(x)
-                        if r is None:
-                            work[x] = -c * h
-                            bounds[x] = bl
-                            heappush(heap, -x)
-                        else:
-                            work[x] = r - c * h
-                            bounds[x] += bl
+                        if x != v:
+                            work[x] = work.get(x, 0) - c * h
+                            bounds[x] = bounds.get(x, 0) + bl
         if worst < 1 << K - 2:
             return K, solved
         wider = width(worst)

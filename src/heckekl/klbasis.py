@@ -58,13 +58,13 @@ import os
 import re
 from array import array
 from collections.abc import Mapping
-from functools import cache, reduce
+from functools import reduce
 from itertools import chain, combinations
 from json.decoder import WHITESPACE, JSONDecodeError, scanstring
 from operator import or_
 from typing import Iterable
 
-from .coxeter import CoxeterSystem, Element, UnsupportedGroupError, format_word, parse_word
+from .coxeter import CoxeterSystem, Element, UnsupportedGroupError, format_word
 from .hecke import HeckeElement, _Column, _element
 from .laurent import ExactnessError, LaurentPoly, ONE, Q, QINV, ZERO, decoder, pack
 
@@ -283,7 +283,9 @@ class KLCache:
     def load(cls, path, system: CoxeterSystem) -> "KLCache":
         """The cache saved at path.  Each column is decoded, guarded and stored
         before the next is decoded, so "format" and "group" must come before
-        "columns" (save writes them first); two members must not name one column."""
+        "columns" (save writes them first); two members must not name one column.
+        Column and row keys are read through one word table, each element's
+        canonical word -> its index: any other key is a ValueError naming it."""
         with gzip.open(path, "rt", encoding="utf-8") as fh:
             text = fh.read()
         out = cls(system)
@@ -291,12 +293,11 @@ class KLCache:
         top = system.length(system.longest_element())  # no KL polynomial has a higher degree
         head: dict = {}  # the top-level members so far; "columns" maps to None once reached
 
-        @cache
-        def index(text: str) -> int:
-            i = system.index(system.element_from_word(parse_word(text)))
-            if format_word(system.word(els[i])) != text:  # else two words could name one column or row
-                raise ValueError(f"cache word {text!r} is not the canonical word of its element")
-            return i
+        class Words(dict):  # the word table: canonical word -> index; only one word names an element
+            def __missing__(self, text: str):
+                raise ValueError(f"cache word {text!r} is not the canonical word of an element of {system.type_string}")
+
+        index = Words((format_word(system.word(w)), i) for i, w in enumerate(els)).__getitem__
 
         class Packs(dict):  # a JSON entry's items -> the id of its pack (None: not packable), made once
             def __missing__(self, key: tuple) -> int | None:

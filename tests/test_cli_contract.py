@@ -159,8 +159,11 @@ def _column_twice(text):
          "unsupported cache format None"),
         (lambda text: text + " {}", "Extra data"),
         (lambda text: text[:-1] + ', "columns": {}}', "cache file has two columns members"),
+        # a key that is no word of A2: the error names the cache word, not a generator
+        (lambda text: text.replace('"1": {"": ', '"9": {"": ', 1), "cache word '9'"),
+        (lambda text: text.replace('"1": {"0": 1}', '"9": {"0": 1}', 1), "cache word '9'"),
     ],
-    ids=["repeated-column", "columns-first", "text-after-the-object", "second-columns"],
+    ids=["repeated-column", "columns-first", "text-after-the-object", "second-columns", "bad-column-word", "bad-row-word"],
 )
 def test_malformed_cache_text_is_a_clean_error(tmp_path, capsys, edit, message):
     # edits that the decoded object cannot show: member order, repeated keys, trailing text

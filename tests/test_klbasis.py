@@ -196,6 +196,21 @@ def test_cache_save_load_round_trip(tmp_path):
         assert loaded.kl_column(w) == cache.kl_column(w)
 
 
+@pytest.mark.parametrize("group", ["A5", "B4", "D4", "I2(8)"])
+def test_every_row_index_is_at_most_its_column_index(group, tmp_path):
+    # hybrid._solve's top-down pass over W_J relies on it: x <= w gives l(x) <= l(w)
+    filled = get_cache(group)
+    filled.fill()
+    s = filled.system
+    path = tmp_path / "cache.gz"
+    filled.save(path)
+    loaded = KLCache.load(path, s)
+    for cache in (filled, loaded):
+        for w in s.elements():
+            assert max(map(s.index, cache.kl_column(w))) == s.index(w)
+    assert loaded.computed == 0
+
+
 def test_cache_load_rejects_wrong_group(tmp_path):
     s = coxeter_system("A2")
     cache = KLCache(s)

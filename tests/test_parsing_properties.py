@@ -3,8 +3,8 @@ and any text gives either a value or a ValueError."""
 
 from hypothesis import given, settings, strategies as st
 
-from heckekl.cli import _EMPTY_TOKENS, _parse_chain, _parse_subset
-from heckekl.coxeter import format_word, parse_word
+from heckekl.cli import _parse_chain, _parse_subset
+from heckekl.coxeter import _EMPTY_TOKENS, format_word, parse_word
 
 # reproducible runs that leave no example database behind
 checked = settings(database=None, deadline=None, derandomize=True, max_examples=150)
