@@ -40,8 +40,8 @@ L1 norms:
   columns of W_J, read as the KL kernel packed them (through kl_column), in
   Z[q] at offset 0, in one pass down W_J in canonical order.  That needs
   each row x of column v to have an index no larger than v's (x <= v gives
-  l(x) <= l(v)); a loaded column is not yet checked against its Bruhat
-  interval, and a row out of that order is left unsolved.  Next to each
+  l(x) <= l(v)); a row above its column's index can only come from a damaged
+  loaded column, and raises ExactnessError naming the column.  Next to each
   work value runs an integer bound on its L1 norm: the input's, plus
   |d_v|_1 times the largest |h_{x,v}|_1 of column v for every d_v whose
   column reaches it.  If a bound reaches 2^(K-2), all jobs run again at the
@@ -104,12 +104,9 @@ def expand_in_hybrid(
     if spec.orientation == "CT":
         inner = expand_in_hybrid(cache, h.psi(), HybridBasisSpec(J, "TC"))
         return {sys.inverse(x): c for x, c in inner.items()}
-    if h.is_zero():
-        return {}
     els = sys.elements()
-    bound = h._l1 if width(h._l1) <= h.K else h._exact_l1()  # bounds every |h_x|_1
-    # h.off: every exponent + off >= 0
-    K, solved = _solve(cache, J, bound, lambda K, column: [(0, _packed_at(h, K, h.off).items(), bound)])
+    # h._l1 bounds every |h_x|_1; h.off: every exponent + off >= 0
+    K, solved = _solve(cache, J, h._l1, lambda K, column: [(0, _packed_at(h, K, h.off).items(), h._l1)])
     decode = decoder(K, h.off)
     return {els[x]: decode(d) for x, d in solved[0].items()}
 
@@ -157,9 +154,11 @@ def _solve(cache: KLCache, J: frozenset[int], bound: int, jobs) -> tuple[int, di
     Each vector is split by coset uW_J and each piece solved in one pass over
     W_J from the top of canonical order: the rows of column v have indices no
     larger than v's, so a value is final when the pass reaches it; exact, no
-    division.  Next to each work value runs a bound on its L1 norm: taking
-    d_v adds |d_v|_1 * (largest |h_{x,v}|_1) at every x of column v.  If a
-    bound reached 2^(K-2), all jobs run again at the width the bounds give.
+    division.  A row with a larger index (only a damaged loaded column has one)
+    raises ExactnessError through cache._fail.  Next to each work value runs a
+    bound on its L1 norm: taking d_v adds |d_v|_1 * (largest |h_{x,v}|_1) at
+    every x of column v.  If a bound reached 2^(K-2), all jobs run again at the
+    width the bounds give.
     """
     split, join = cache.system.coset_index(J)
     els, l1 = cache.system.elements(), cache._column_l1
@@ -190,9 +189,11 @@ def _solve(cache: KLCache, J: frozenset[int], bound: int, jobs) -> tuple[int, di
                     out[row[v]] = c
                     bl = b * l1(v)
                     for x, h in column(v):
-                        if x != v:
+                        if x < v:
                             work[x] = work.get(x, 0) - c * h
                             bounds[x] = bounds.get(x, 0) + bl
+                        elif x > v:
+                            cache._fail(v, "a loaded column has an entry outside the Bruhat interval")
         if worst < 1 << K - 2:
             return K, solved
         wider = width(worst)

@@ -137,12 +137,6 @@ class KLCache:
             self.computed += 1
         return col
 
-    def _packed_column(self, i: int) -> dict[int, int]:
-        """Column i as a dict {index: int}, built by its view on first use and
-        kept; read through kl_column, so a missing column shows up as extra
-        kl_column calls."""
-        return self.kl_column(self.system.elements()[i])._packed
-
     def _column_l1(self, i: int) -> int:
         """The largest L1 norm of an entry of column i (the hybrid layer's width bound)."""
         l1 = self._l1.get(i)
@@ -197,15 +191,12 @@ class KLCache:
                         out[x] -= by_id[k]
                 except KeyError:
                     self._fail(i, "a loaded column has an entry outside the Bruhat interval")
-        self._guard(i, out, low, mu_sum)
+        self._guard(i, out.get(i), out.values(), low, mu_sum)
         return self._store(out)
 
-    def _guard(self, i: int, col: dict[int, int], low: int = 0, mu_sum: int = 0):
-        """Raise unless packed column i decodes exactly (module docstring)."""
-        self._guard_entries(i, col.get(i), col.values(), low, mu_sum)
-
-    def _guard_entries(self, i: int, diagonal: int | None, entries: Iterable[int], low: int = 0, mu_sum: int = 0):
-        """_guard on column i's diagonal entry and its entries (or its distinct ones)."""
+    def _guard(self, i: int, diagonal: int | None, entries: Iterable[int], low: int = 0, mu_sum: int = 0):
+        """Raise unless packed column i, with this diagonal entry and these
+        entries (all, or the distinct ones), decodes exactly (module docstring)."""
         if diagonal != 1:
             self._fail(i, "the diagonal entry is not 1")
         if low & _MASK:
@@ -229,10 +220,9 @@ class KLCache:
     def kl_element(self, w: Element) -> HeckeElement:
         """C_w as a Hecke element over the column's own view and the dict that
         view keeps: no copy, and no new dict after the first call."""
-        i = self.system._index[w]
-        packed = self._packed_column(i)
-        l1 = len(packed) * self._column_l1(i)  # bounds |C_w|_1
-        return _element(self.system, packed, _DIGIT, 0, l1, self._columns[w])
+        col = self.kl_column(w)
+        l1 = len(col) * self._column_l1(self.system._index[w])  # bounds |C_w|_1
+        return _element(self.system, col._packed, _DIGIT, 0, l1, col)
 
     def kl_poly(self, x: Element, w: Element) -> LaurentPoly:
         """h_{x,w}; the zero polynomial iff x is not <= w."""
@@ -340,7 +330,7 @@ class KLCache:
                 if None in ids.values():
                     out._fail(i, "a loaded entry is not in Z[q] with degree <= l(w0) and coefficients in [0, 2^62)")
                 diagonal = values[ids[i]] if i in ids else None
-                out._guard_entries(i, diagonal, map(values.__getitem__, set(ids.values())))
+                out._guard(i, diagonal, map(values.__getitem__, set(ids.values())))
             except ExactnessError as e:  # not stored: kl_column raises its message when the column is read
                 out._damaged[els[i]] = str(e)
                 return end

@@ -92,6 +92,23 @@ def test_damaged_loaded_column_is_a_clean_error(tmp_path, capsys):
     assert "KL column 1,2" in err
 
 
+def test_loaded_row_above_its_column_is_a_clean_error(tmp_path, capsys):
+    # row 1,2 in column 1 passes the load guard, but 1,2 comes after 1 in
+    # canonical order: the back-substitution refuses the column
+    cache_dir, path = _filled_cache_file(tmp_path, capsys)
+    args = ["restrict", "--group", "A2", "--J", "1,2", "--u", "e", "--w", "1", "--cache-dir", str(cache_dir)]
+    code, out, err = run(capsys, *args)
+    assert (code, err) == (0, "") and json.loads(out)["coeffs"] == [["1", "1*q^0"]]
+    with gzip.open(path, "rt", encoding="utf-8") as fh:
+        obj = json.load(fh)
+    obj["columns"]["1"]["1,2"] = {"1": 1}
+    with gzip.open(path, "wt", encoding="utf-8") as fh:
+        json.dump(obj, fh)
+    code, out, err = run(capsys, *args)
+    assert_clean_error(code, out, err)
+    assert err == "error: KL column 1: a loaded column has an entry outside the Bruhat interval\n"
+
+
 def _with(obj, keys, value):
     """obj with obj[keys[0]]...[keys[-1]] set to value."""
     *outer, last = keys

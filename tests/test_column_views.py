@@ -22,8 +22,8 @@ from conftest import get_cache
 
 
 def _packed_entries(cache):
-    for i in range(cache.system.order):
-        yield from cache._packed_column(i).values()
+    for w in cache.system.elements():
+        yield from cache.kl_column(w)._packed.values()
 
 
 @pytest.mark.parametrize("group", ["B3", "A4"])
@@ -83,7 +83,7 @@ def test_loaded_columns_are_views_of_the_packed_columns(tmp_path):
         col = loaded._columns[w]
         assert not isinstance(col, dict)  # no element-keyed copy
         assert loaded.kl_column(w) is col
-        assert col._packed is loaded._packed_column(s.index(w))
+        assert col._packed is loaded.kl_element(w)._packed
         assert col == get_cache("B3").kl_column(w)
     assert loaded.computed == 0
     assert all(loaded._values[loaded._ids.get(h)] is h for h in _packed_entries(loaded))

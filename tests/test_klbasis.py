@@ -375,7 +375,7 @@ def test_guard_rejects_a_digit_of_2_62():
     # the guard is called on a hand-made packed column: h_{e,1} = 2^62 q
     s = coxeter_system("A1")
     with pytest.raises(RuntimeError, match=r"KL column 1: .*coefficient >= 2\^62"):
-        KLCache(s)._guard(1, {1: 1, 0: 1 << 126})
+        KLCache(s)._guard(1, 1, [1, 1 << 126])
 
 
 @pytest.mark.parametrize("group", ["A5", "B4", "D4", "I2(8)"])

@@ -21,7 +21,7 @@ from heckekl import (
 from heckekl import hybrid
 from heckekl.cli import main
 from heckekl.hecke import HeckeElement as _wrap
-from heckekl.hecke import form
+from heckekl.hecke import form, t_basis
 from heckekl.hybrid import TransitionMatrix
 from heckekl.laurent import ZERO, ExactnessError
 from conftest import get_cache, subsets
@@ -238,8 +238,14 @@ def test_expand_in_hybrid_of_zero_and_dense_elements():
     w0 = sys.longest_element()
     h = cache.kl_element(w0) * cache.kl_element(w0)
     for J in subsets(sys):
-        spec = HybridBasisSpec(J)
-        assert expand_in_hybrid(cache, h, spec) == ref_expand_in_hybrid(cache, h, spec)
+        for orientation in ("TC", "CT"):
+            spec = HybridBasisSpec(J, orientation)
+            assert expand_in_hybrid(cache, h, spec) == ref_expand_in_hybrid(cache, h, spec)
+    # a zero that carries K, off and an L1 bound from a product goes through the solve too
+    zero = (t_basis(sys, sys.generator(3)) * cache.kl_element(sys.generator(1))).restrict({1, 2})
+    assert zero.is_zero() and zero._l1 > 0
+    for orientation in ("TC", "CT"):
+        assert expand_in_hybrid(cache, zero, HybridBasisSpec({1, 2}, orientation)) == {}
 
 
 def test_matmul_of_laurent_matrices_matches_reference():
@@ -306,7 +312,7 @@ def test_equal_loaded_polynomials_are_one_object(tmp_path):
             assert seen.setdefault(str(p), p) is p
     assert len(seen) < sum(map(len, loaded._columns.values())) / 10
     for w in s.elements():
-        assert loaded._packed_column(s.index(w)) == get_cache("B3")._packed_column(s.index(w))
+        assert loaded.kl_column(w)._packed == get_cache("B3").kl_column(w)._packed
 
 
 def test_warm_and_cold_factorize_print_the_same_bytes(tmp_path, capsys):
