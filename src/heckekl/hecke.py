@@ -59,18 +59,19 @@ class MixedSystemError(ValueError):
 class _Column(Mapping):
     """Read-only view x -> polynomial of a packed column at width K and offset
     off: a dict {index: int}, or (KL columns) an array of rows and an array of
-    ids, the entry at rows[k] being values[ids[k]].  Over arrays, the dict is
-    built on the first random access (get, [], _packed) and kept; iterating
-    readers (_pairs, _ints, items) build none.  Reads decode through polys, a
-    laurent.decoder(K, off), so equal entries are one object.  KL columns are
-    views at (64, 0) over KLCache._polys.  Views over one element order
-    compare packed (_same)."""
+    ids, the entry at rows[k] being values[ids[k]]; a relabeled KL column is
+    its partner's two arrays and a symmetry table g, its k-th row g[rows[k]].
+    Over arrays, the dict is built on the first random access (get, [],
+    _packed) and kept; iterating readers (_pairs, _ints, items) build none.
+    Reads decode through polys, a laurent.decoder(K, off), so equal entries
+    are one object.  KL columns are views at (64, 0) over KLCache._polys.
+    Views over one element order compare packed (_same)."""
 
-    __slots__ = ("_rows", "_ids", "_values", "_dict", "_polys", "_els", "_index", "K", "off")
+    __slots__ = ("_rows", "_ids", "_values", "_g", "_dict", "_polys", "_els", "_index", "K", "off")
 
-    def __init__(self, system: CoxeterSystem, packed, polys, K: int = 64, off: int = 0, ids=None, values=None):
+    def __init__(self, system: CoxeterSystem, packed, polys, K: int = 64, off: int = 0, ids=None, values=None, g=None):
         # packed: the dict, whose keys are then the rows; or, with ids and values, the array of rows
-        self._rows, self._ids, self._values = packed, ids, values
+        self._rows, self._ids, self._values, self._g = packed, ids, values, g
         self._dict = packed if ids is None else None
         self._polys, self.K, self.off = polys, K, off
         self._els, self._index = system.elements(), system._index
@@ -88,10 +89,14 @@ class _Column(Mapping):
         d = self._dict
         return d.values() if d is not None else map(self._values.__getitem__, self._ids)
 
+    def _indices(self) -> Iterable[int]:
+        """The rows' element indices, in row order (through g if relabeled)."""
+        return self._rows if self._g is None else map(self._g.__getitem__, self._rows)
+
     def _pairs(self) -> Iterable[tuple[int, int]]:
         """(index, packed entry) pairs, in row order."""
         d = self._dict
-        return d.items() if d is not None else zip(self._rows, self._ints())
+        return d.items() if d is not None else zip(self._indices(), self._ints())
 
     def __getitem__(self, x: Element) -> LaurentPoly:
         return self._polys(self._packed[self._index[x]])
@@ -101,7 +106,7 @@ class _Column(Mapping):
         return default if h is None else self._polys(h)
 
     def __iter__(self):
-        return map(self._els.__getitem__, self._rows)
+        return map(self._els.__getitem__, self._indices())
 
     def __len__(self) -> int:
         return len(self._rows)

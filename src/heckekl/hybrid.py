@@ -332,7 +332,10 @@ def transition_matrix(cache: KLCache, I: Iterable[int], J: Iterable[int]) -> Tra
     cols: dict[Element, Mapping[Element, LaurentPoly]] = {}
     for w, (u, vp) in zip(order, split_j):
         row = join_j[u]
-        cols[w] = _Column(sys, {row[x]: d for x, d in block[vp].items()}, decode, K)
+        try:  # the rows of C_vp lie in W_J unless a loaded column is damaged
+            cols[w] = _Column(sys, {row[x]: d for x, d in block[vp].items()}, decode, K)
+        except KeyError:
+            cache._fail(vp, "a loaded column has an entry outside the Bruhat interval")
     return TransitionMatrix(sys, I, J, order, cols)
 
 

@@ -33,16 +33,18 @@ are >= 0 with digits < 2^62.  load decodes, guards and stores the file's
 columns one at a time, so it never holds the whole decoded file (an entry of
 degree above l(w0) does not pack, so its column fails); a column that fails
 is not stored, and reading it raises the guard's error.  A relabeled column
-holds its partner's ints, so it needs no guard.
+reads its partner's ints, so it needs no guard.
 
 Each column is stored as two arrays: its rows (element indices) and, per
 row, an id into the cache's one list of distinct packed entries, so equal
-entries are one int.  Compute, relabel, load and save all use this form, and
-a relabeled column is new rows over its partner's id array.  kl_column hands
-out a read-only Mapping view over the arrays that decodes through one intern
-table.  Readers that iterate (the recursion, save, the hybrid layer) read
-the arrays; the view builds a dict {index: int} on the first random access
-and keeps it, and kl_element is a Hecke element over that dict.
+entries are one int.  Compute, load and save all use this form; a relabeled
+column is its partner's two arrays, not copies, and the symmetry table g that
+maps its row r to g[r] (the tables are every symmetry but e, so an orbit's
+first stored column is the partner of all the rest).  kl_column hands out a
+read-only Mapping view over the arrays that decodes through one intern table.
+Readers that iterate (the recursion, save, the hybrid layer) read the arrays,
+the rows through g; the view builds a dict {index: int} on the first random
+access and keeps it, and kl_element is a Hecke element over that dict.
 
 Also here: the Bruhat-interval element sum_{y <= w} q^{l(w)-l(y)} T_y, which
 coincides with C_w exactly for rationally smooth w (in type A: for the
@@ -109,9 +111,9 @@ class KLCache:
     two arrays behind its read-only view in ``_columns``: its rows and, per
     row, an id into ``_values``, the one list of distinct packed entries of
     the cache.  Every stored column has passed the guard: a column is computed
-    by the recursion, relabeled from a stored partner (new rows, the partner's
-    id array) or loaded; a loaded column that fails the guard is not stored,
-    and reading it raises its error (``_damaged``)."""
+    by the recursion, relabeled from a stored partner (the partner's arrays
+    read through a symmetry table) or loaded; a loaded column that fails the
+    guard is not stored, and reading it raises its error (``_damaged``)."""
 
     def __init__(self, system: CoxeterSystem):
         self.system = system
@@ -151,17 +153,17 @@ class KLCache:
         code = _code(len(self._values) + len(col))  # room for every id the column may add
         return self._view(_array(self._row_code, col), _array(code, map(self._ids.__getitem__, col.values())))
 
-    def _view(self, rows: array, ids: array) -> _Column:
-        return _Column(self.system, rows, self._polys, ids=ids, values=self._values)
+    def _view(self, rows: array, ids: array, g: list[int] | None = None) -> _Column:
+        return _Column(self.system, rows, self._polys, ids=ids, values=self._values, g=g)
 
     def _compute(self, i: int) -> _Column:
         if i == 0:
             return self._store({0: 1})
         els = self.system.elements()
-        for g in self.system.index_symmetries:  # h_{x,w} = h_{g(x),g(w)}: relabel a stored column
-            if els[g[i]] in self._columns:  # read through kl_column, which counts reads
-                col = self.kl_column(els[g[i]])
-                return self._view(_array(self._row_code, map(g.__getitem__, col._rows)), col._ids)
+        for g in self.system.index_symmetries:  # h_{x,w} = h_{g(x),g(w)}: view a stored column through g
+            if (w := els[g[i]]) in self._columns and self._columns[w]._g is None:  # not itself relabeled
+                col = self.kl_column(w)  # read through kl_column, which counts reads
+                return self._view(col._rows, col._ids, g)
         right = self.system.right_index[self.system.word(els[i])[-1] - 1]
         colv = dict(self.kl_column(els[right[i]])._pairs())  # the one random-access read: colv.get(ys)
 
@@ -187,7 +189,7 @@ class KLCache:
                 col = self.kl_column(els[z])
                 by_id = values if m == 1 else {k: m * values[k] for k in set(col._ids)}
                 try:  # x lies in [e, z], inside out's support, unless a loaded column is damaged
-                    for x, k in zip(col._rows, col._ids):
+                    for x, k in zip(col._indices(), col._ids):
                         out[x] -= by_id[k]
                 except KeyError:
                     self._fail(i, "a loaded column has an entry outside the Bruhat interval")
@@ -252,7 +254,7 @@ class KLCache:
         obj = {
             "format": _CACHE_FORMAT,
             "group": sys.type_string,
-            "columns": {words[i]: {words[x]: encoded[k] for x, k in sorted(zip(c._rows, c._ids))} for i, c in stored},
+            "columns": {words[i]: {words[x]: encoded[k] for x, k in sorted(zip(c._indices(), c._ids))} for i, c in stored},
         }
         # write a file beside path, then move it into place: a failed save
         # leaves any previous file as it was

@@ -94,19 +94,23 @@ def test_damaged_loaded_column_is_a_clean_error(tmp_path, capsys):
 
 def test_loaded_row_above_its_column_is_a_clean_error(tmp_path, capsys):
     # row 1,2 in column 1 passes the load guard, but 1,2 comes after 1 in
-    # canonical order: the back-substitution refuses the column
+    # canonical order: the back-substitution refuses the column; factorize
+    # solves over W_{1} too, where the row has no place in the block
     cache_dir, path = _filled_cache_file(tmp_path, capsys)
-    args = ["restrict", "--group", "A2", "--J", "1,2", "--u", "e", "--w", "1", "--cache-dir", str(cache_dir)]
-    code, out, err = run(capsys, *args)
+    restrict = ["restrict", "--group", "A2", "--J", "1,2", "--u", "e", "--w", "1", "--cache-dir", str(cache_dir)]
+    factorize = ["factorize", "--group", "A2", "--cache-dir", str(cache_dir)]
+    code, out, err = run(capsys, *restrict)
     assert (code, err) == (0, "") and json.loads(out)["coeffs"] == [["1", "1*q^0"]]
+    assert run(capsys, *factorize)[::2] == (0, "")
     with gzip.open(path, "rt", encoding="utf-8") as fh:
         obj = json.load(fh)
     obj["columns"]["1"]["1,2"] = {"1": 1}
     with gzip.open(path, "wt", encoding="utf-8") as fh:
         json.dump(obj, fh)
-    code, out, err = run(capsys, *args)
-    assert_clean_error(code, out, err)
-    assert err == "error: KL column 1: a loaded column has an entry outside the Bruhat interval\n"
+    for args in (restrict, factorize):
+        code, out, err = run(capsys, *args)
+        assert_clean_error(code, out, err)
+        assert err == "error: KL column 1: a loaded column has an entry outside the Bruhat interval\n"
 
 
 def _with(obj, keys, value):

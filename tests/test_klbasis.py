@@ -19,6 +19,7 @@ from heckekl import (
     unit,
 )
 from conftest import get_cache
+from test_column_store import _saved_bytes
 
 
 def test_kl_for_generators():
@@ -247,19 +248,25 @@ def test_oracle_agrees_exhaustively_a4_d4():
 
 
 def test_partial_cache_recomputes_through_loaded_columns(tmp_path):
-    s = coxeter_system("B3")
-    low = KLCache(s)
-    for w in s.elements()[:10]:
-        low.kl_column(w)
-    path = tmp_path / "low.klcache.gz"
-    low.save(path)
-    loaded = KLCache.load(path, s)
-    loaded.kl_column(s.longest_element())
-    # only the missing columns were computed; the loaded ones were read
-    assert loaded.computed == len(loaded._columns) - 10
-    fresh = get_cache("B3")
-    for w in loaded._columns:
-        assert loaded.kl_column(w) == fresh.kl_column(w)
+    for group in ("B3", "A4", "I2(7)"):  # A4 and I2(7) have three symmetry tables, B3 one
+        s = coxeter_system(group)
+        low = KLCache(s)
+        for w in s.elements()[:10]:
+            low.kl_column(w)
+        path = tmp_path / f"{group}.low.klcache.gz"
+        low.save(path)
+        loaded = KLCache.load(path, s)
+        loaded.kl_column(s.longest_element())
+        # only the missing columns were computed; the loaded ones were read
+        assert loaded.computed == len(loaded._columns) - 10
+        fresh = get_cache(group)
+        for w in loaded._columns:
+            assert loaded.kl_column(w) == fresh.kl_column(w)
+        # the rest is relabeled from loaded partners too, and save reads the relabeled rows
+        loaded.fill()
+        full = KLCache(s)
+        full.fill()
+        assert _saved_bytes(loaded, tmp_path / f"{group}.a") == _saved_bytes(full, tmp_path / f"{group}.b")
 
 
 def _load_edited(tmp_path, system, words, edit):
