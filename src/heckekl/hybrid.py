@@ -9,7 +9,9 @@ bases are
 
 so TC with J = {} is the standard basis and with J = S the KL basis.  The
 anti-automorphism psi maps TC^J_w to CT^J of the inverse element, which is
-how the CT orientation is handled throughout.
+how the CT orientation is handled throughout.  TC^J_w takes no arithmetic:
+the rows x of C_v lie in W_J, where T_u T_x = T_{ux}, so it is C_v's column
+with each row x moved to ux.  CT^J_w stays a Hecke product.
 
 Expanding an element in TC^J works coset by coset: the TC^J-coordinates of
 h over the coset u*W_J are the KL-basis coordinates (inside W_J) of the
@@ -60,7 +62,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Mapping
 
 from .coxeter import CoxeterSystem, Element, format_word
-from .hecke import HeckeElement, _Column, _packed_at, t_basis
+from .hecke import HeckeElement, _Column, _element, _packed_at, t_basis
 from .klbasis import _DIGIT as _KL_WIDTH, KLCache
 from .laurent import ExactnessError, LaurentPoly, ZERO, decoder, width
 
@@ -79,13 +81,20 @@ class HybridBasisSpec:
 
 
 def hybrid_element(cache: KLCache, spec: HybridBasisSpec, w: Element) -> HeckeElement:
-    """The basis element TC^J_w (or CT^J_w) in the standard basis."""
+    """The basis element TC^J_w (or CT^J_w) in the standard basis: TC relabels
+    C_v's column (module docstring), CT is the Hecke product TC^J_v' * T_u'.
+    A loaded row outside W_J raises ExactnessError in both orientations."""
     sys = cache.system
-    if spec.orientation == "TC":
-        u, v = sys.parabolic_factorize_left(w, spec.J)
-        return t_basis(sys, u) * cache.kl_element(v)
-    v, u = sys.parabolic_factorize_right(w, spec.J)
-    return cache.kl_element(v) * t_basis(sys, u)
+    if spec.orientation == "CT":  # C_v' = TC^J_v' (u = e)
+        v, u = sys.parabolic_factorize_right(w, spec.J)
+        return hybrid_element(cache, HybridBasisSpec(spec.J), v) * t_basis(sys, u)
+    split, join = sys.coset_index(spec.J)
+    u, v = split[sys.index(w)]
+    c, row = cache.kl_element(sys.elements()[v]), join[u]
+    try:  # a relabel changes no coefficient: C_v's packing and L1 bound carry over
+        return _element(sys, {row[x]: h for x, h in c._packed.items()}, c.K, c.off, c._l1)
+    except KeyError:  # a row outside W_J: only a damaged loaded column has one
+        cache._fail(v, "a loaded column has an entry outside the Bruhat interval")
 
 
 def expand_in_hybrid(

@@ -95,19 +95,25 @@ def test_damaged_loaded_column_is_a_clean_error(tmp_path, capsys):
 def test_loaded_row_above_its_column_is_a_clean_error(tmp_path, capsys):
     # row 1,2 in column 1 passes the load guard, but 1,2 comes after 1 in
     # canonical order: the back-substitution refuses the column; factorize
-    # solves over W_{1} too, where the row has no place in the block
+    # solves over W_{1} too, where the row has no place in the block; hybrid
+    # at J = {1} relabels C_1's rows through W_{1}, which has no place for it
+    # either (TC, and the C_1 factor of CT)
     cache_dir, path = _filled_cache_file(tmp_path, capsys)
     restrict = ["restrict", "--group", "A2", "--J", "1,2", "--u", "e", "--w", "1", "--cache-dir", str(cache_dir)]
     factorize = ["factorize", "--group", "A2", "--cache-dir", str(cache_dir)]
+    hybrid = ["hybrid", "--group", "A2", "--J", "1", "--w", "1", "--cache-dir", str(cache_dir)]
     code, out, err = run(capsys, *restrict)
     assert (code, err) == (0, "") and json.loads(out)["coeffs"] == [["1", "1*q^0"]]
     assert run(capsys, *factorize)[::2] == (0, "")
+    for args in (hybrid, hybrid + ["--orientation", "CT"]):
+        code, out, err = run(capsys, *args)
+        assert (code, err) == (0, "") and json.loads(out)["terms"] == [["", "1*q^1"], ["1", "1*q^0"]]
     with gzip.open(path, "rt", encoding="utf-8") as fh:
         obj = json.load(fh)
     obj["columns"]["1"]["1,2"] = {"1": 1}
     with gzip.open(path, "wt", encoding="utf-8") as fh:
         json.dump(obj, fh)
-    for args in (restrict, factorize):
+    for args in (restrict, factorize, hybrid, hybrid + ["--orientation", "CT"]):
         code, out, err = run(capsys, *args)
         assert_clean_error(code, out, err)
         assert err == "error: KL column 1: a loaded column has an entry outside the Bruhat interval\n"

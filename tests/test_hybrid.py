@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 import random
@@ -24,6 +25,7 @@ from heckekl import (
     t_basis,
     transition_matrix,
 )
+from heckekl import hecke
 from heckekl.hecke import HeckeElement as _wrap
 from conftest import get_cache, subsets
 
@@ -56,15 +58,25 @@ def test_hybrid_singleton_j():
             assert el == t_basis(s, w) + t_basis(s, ws).scale(Q)
 
 
-def test_hybrid_factorizes_as_t_times_kl():
-    cache = get_cache("B3")
-    s = cache.system
-    rng = random.Random(3)
-    for J in subsets(s):
-        spec = HybridBasisSpec(J)
-        for w in rng.sample(s.elements(), 10):
-            u, v = s.parabolic_factorize_left(w, J)
-            assert hybrid_element(cache, spec, w) == t_basis(s, u) * cache.kl_element(v)
+def _no_walk(*args):
+    raise AssertionError("a TC hybrid element ran a Hecke product")
+
+
+def test_hybrid_factorizes_as_t_times_kl(monkeypatch):
+    # TC^J_w is C_v's column relabeled, with no Hecke product (_walk), and
+    # equals T_u * C_v with a carried L1 bound no smaller than its exact norm
+    for group in ("A3", "B3", "D4", "I2(5)"):
+        cache = get_cache(group)
+        s = cache.system
+        for J in subsets(s):
+            spec = HybridBasisSpec(J)
+            with monkeypatch.context() as m:
+                m.setattr(hecke, "_walk", _no_walk)
+                tcs = {w: hybrid_element(cache, spec, w) for w in s.elements()}
+            for w, tc in tcs.items():
+                u, v = s.parabolic_factorize_left(w, J)
+                assert tc == t_basis(s, u) * cache.kl_element(v)
+                assert tc._l1 >= copy.copy(tc)._exact_l1()
 
 
 def test_ct_orientation():
