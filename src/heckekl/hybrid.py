@@ -42,10 +42,9 @@ L1 norms:
   columns of W_J, read as the KL kernel packed them (through kl_column), in
   Z[q] at offset 0, in one pass down W_J in canonical order.  That needs
   each row x of column v to have an index no larger than v's (x <= v gives
-  l(x) <= l(v)); a row above its column's index can only come from a damaged
-  loaded column, and raises ExactnessError naming the column.  Next to each
-  work value runs an integer bound on its L1 norm: the input's, plus
-  |d_v|_1 times the largest |h_{x,v}|_1 of column v for every d_v whose
+  l(x) <= l(v); KLCache.load checks that a loaded column's rows are [e, v]).
+  Next to each work value runs an integer bound on its L1 norm: the input's,
+  plus |d_v|_1 times the largest |h_{x,v}|_1 of column v for every d_v whose
   column reaches it.  If a bound reaches 2^(K-2), all jobs run again at the
   width the bounds give, with the inputs repacked at that width;
   ExactnessError if that width is no wider.
@@ -82,8 +81,7 @@ class HybridBasisSpec:
 
 def hybrid_element(cache: KLCache, spec: HybridBasisSpec, w: Element) -> HeckeElement:
     """The basis element TC^J_w (or CT^J_w) in the standard basis: TC relabels
-    C_v's column (module docstring), CT is the Hecke product TC^J_v' * T_u'.
-    A loaded row outside W_J raises ExactnessError in both orientations."""
+    C_v's column (module docstring), CT is the Hecke product TC^J_v' * T_u'."""
     sys = cache.system
     if spec.orientation == "CT":  # C_v' = TC^J_v' (u = e)
         v, u = sys.parabolic_factorize_right(w, spec.J)
@@ -91,10 +89,8 @@ def hybrid_element(cache: KLCache, spec: HybridBasisSpec, w: Element) -> HeckeEl
     split, join = sys.coset_index(spec.J)
     u, v = split[sys.index(w)]
     c, row = cache.kl_element(sys.elements()[v]), join[u]
-    try:  # a relabel changes no coefficient: C_v's packing and L1 bound carry over
-        return _element(sys, {row[x]: h for x, h in c._packed.items()}, c.K, c.off, c._l1)
-    except KeyError:  # a row outside W_J: only a damaged loaded column has one
-        cache._fail(v, "a loaded column has an entry outside the Bruhat interval")
+    # a relabel changes no coefficient: C_v's packing and L1 bound carry over
+    return _element(sys, {row[x]: h for x, h in c._packed.items()}, c.K, c.off, c._l1)
 
 
 def expand_in_hybrid(
@@ -163,11 +159,9 @@ def _solve(cache: KLCache, J: frozenset[int], bound: int, jobs) -> tuple[int, di
     Each vector is split by coset uW_J and each piece solved in one pass over
     W_J from the top of canonical order: the rows of column v have indices no
     larger than v's, so a value is final when the pass reaches it; exact, no
-    division.  A row with a larger index (only a damaged loaded column has one)
-    raises ExactnessError through cache._fail.  Next to each work value runs a
-    bound on its L1 norm: taking d_v adds |d_v|_1 * (largest |h_{x,v}|_1) at
-    every x of column v.  If a bound reached 2^(K-2), all jobs run again at the
-    width the bounds give.
+    division.  Next to each work value runs a bound on its L1 norm: taking d_v
+    adds |d_v|_1 * (largest |h_{x,v}|_1) at every x of column v.  If a bound
+    reached 2^(K-2), all jobs run again at the width the bounds give.
     """
     split, join = cache.system.coset_index(J)
     els, l1 = cache.system.elements(), cache._column_l1
@@ -201,8 +195,6 @@ def _solve(cache: KLCache, J: frozenset[int], bound: int, jobs) -> tuple[int, di
                         if x < v:
                             work[x] = work.get(x, 0) - c * h
                             bounds[x] = bounds.get(x, 0) + bl
-                        elif x > v:
-                            cache._fail(v, "a loaded column has an entry outside the Bruhat interval")
         if worst < 1 << K - 2:
             return K, solved
         wider = width(worst)
@@ -341,10 +333,7 @@ def transition_matrix(cache: KLCache, I: Iterable[int], J: Iterable[int]) -> Tra
     cols: dict[Element, Mapping[Element, LaurentPoly]] = {}
     for w, (u, vp) in zip(order, split_j):
         row = join_j[u]
-        try:  # the rows of C_vp lie in W_J unless a loaded column is damaged
-            cols[w] = _Column(sys, {row[x]: d for x, d in block[vp].items()}, decode, K)
-        except KeyError:
-            cache._fail(vp, "a loaded column has an entry outside the Bruhat interval")
+        cols[w] = _Column(sys, {row[x]: d for x, d in block[vp].items()}, decode, K)
     return TransitionMatrix(sys, I, J, order, cols)
 
 

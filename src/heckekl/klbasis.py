@@ -31,9 +31,12 @@ column unless its diagonal is 1, each >> 64 was exact, (2 + sum of mu) *
 (largest coefficient so far) < 2^62 (so decoding is unique) and all entries
 are >= 0 with digits < 2^62.  load decodes, guards and stores the file's
 columns one at a time, so it never holds the whole decoded file (an entry of
-degree above l(w0) does not pack, so its column fails); a column that fails
-is not stored, and reading it raises the guard's error.  A relabeled column
-reads its partner's ints, so it needs no guard.
+degree above l(w0) does not pack, so its column fails).  A column's rows (its
+nonzero entries) must be exactly [e, w], as h_{x,w} != 0 iff x <= w: [e, w] =
+[e, v] u [e, v]s with v = ws, [e, v] read from v's loaded column (save writes
+v first) or else the Bruhat order; the degree window is not checked.  A column
+that fails is not stored, and reading it raises its error.  A relabeled column
+reads its partner's ints, and a computed one is its interval by construction.
 
 Each column is stored as two arrays: its rows (element indices) and, per
 row, an id into the cache's one list of distinct packed entries, so equal
@@ -66,7 +69,7 @@ from json.decoder import WHITESPACE, JSONDecodeError, scanstring
 from operator import or_
 from typing import Iterable
 
-from .coxeter import CoxeterSystem, Element, UnsupportedGroupError, format_word
+from .coxeter import CoxeterSystem, Element, UnsupportedGroupError, _bits, format_word
 from .hecke import HeckeElement, _Column, _element
 from .laurent import ExactnessError, LaurentPoly, ONE, Q, QINV, ZERO, decoder, pack
 
@@ -110,10 +113,11 @@ class KLCache:
     """Per-system store of KL columns h_{.,w}, filled on demand.  Each column is
     two arrays behind its read-only view in ``_columns``: its rows and, per
     row, an id into ``_values``, the one list of distinct packed entries of
-    the cache.  Every stored column has passed the guard: a column is computed
-    by the recursion, relabeled from a stored partner (the partner's arrays
-    read through a symmetry table) or loaded; a loaded column that fails the
-    guard is not stored, and reading it raises its error (``_damaged``)."""
+    the cache.  Every stored column has passed the guard and its rows are
+    [e, w]: a column is computed by the recursion, relabeled from a stored
+    partner (the partner's arrays read through a symmetry table) or loaded; a
+    loaded column that fails the guard or the interval check is not stored,
+    and reading it raises its error (``_damaged``)."""
 
     def __init__(self, system: CoxeterSystem):
         self.system = system
@@ -122,7 +126,7 @@ class KLCache:
         self._ids = _Ids()  # packed entry -> id; _values[id] is that entry's one int
         self._values = self._ids.entries
         self._row_code = _code(system.order)
-        self._damaged: dict[Element, str] = {}  # loaded column -> the guard's error on it
+        self._damaged: dict[Element, str] = {}  # loaded column -> the error that left it out
         self._top = 1  # largest coefficient in any packed column so far
         self._polys = decoder(_DIGIT, 0)  # intern table: h -> its one LaurentPoly
         self._l1: dict[int, int] = {}  # see _column_l1
@@ -188,11 +192,8 @@ class KLCache:
                 mu_sum += m
                 col = self.kl_column(els[z])
                 by_id = values if m == 1 else {k: m * values[k] for k in set(col._ids)}
-                try:  # x lies in [e, z], inside out's support, unless a loaded column is damaged
-                    for x, k in zip(col._indices(), col._ids):
-                        out[x] -= by_id[k]
-                except KeyError:
-                    self._fail(i, "a loaded column has an entry outside the Bruhat interval")
+                for x, k in zip(col._indices(), col._ids):  # x lies in [e, z], inside out's support
+                    out[x] -= by_id[k]
         self._guard(i, out.get(i), out.values(), low, mu_sum)
         return self._store(out)
 
@@ -316,6 +317,14 @@ class KLCache:
             head["columns"] = None
             return _members(text, pos, column, "cache columns are not an object of objects")
 
+        def interval(i: int) -> set[int]:  # [e, w] = [e, v] u [e, v]s: v = ws, s the last letter of w
+            if i == 0:
+                return {0}
+            right = system.right_index[system.word(els[i])[-1] - 1]
+            col = out._columns.get(els[v := right[i]])  # loaded (not relabeled) and checked: save writes v first
+            rows = col._rows if col is not None else [*_bits(system._below[v])]  # v missing, damaged or later
+            return {*rows, *map(right.__getitem__, rows)}
+
         def column(wtext: str, pos: int) -> int:
             i = index(wtext)
             if els[i] in out._columns or els[i] in out._damaged:
@@ -328,11 +337,13 @@ class KLCache:
             if not {*map(type, polys)} <= {dict} or not {*map(type, coeffs)} <= {int, str}:
                 raise ValueError(f"cache column {wtext!r}: an entry is not an object of ints or decimal strings")
             ids = dict(zip(map(index, col), map(packs.__getitem__, map(tuple, map(dict.items, polys)))))
-            try:  # the guard, on the diagonal and each distinct entry
+            try:  # the guard, on the diagonal and each distinct entry; then the rows against [e, w]
                 if None in ids.values():
                     out._fail(i, "a loaded entry is not in Z[q] with degree <= l(w0) and coefficients in [0, 2^62)")
                 diagonal = values[ids[i]] if i in ids else None
                 out._guard(i, diagonal, map(values.__getitem__, set(ids.values())))
+                if ids.keys() != interval(i) or 0 in out._ids and out._ids[0] in ids.values():  # 0 is no row
+                    out._fail(i, "the loaded rows are not the Bruhat interval [e, w]")
             except ExactnessError as e:  # not stored: kl_column raises its message when the column is read
                 out._damaged[els[i]] = str(e)
                 return end

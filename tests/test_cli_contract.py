@@ -32,10 +32,10 @@ def _overwrite(data, pos):
     return data[:pos] + b"\xff" * 8 + data[pos + 8 :]
 
 
-def _filled_cache_file(tmp_path, capsys):
+def _filled_cache_file(tmp_path, capsys, group="A2"):
     cache_dir = tmp_path / "caches"
-    assert run(capsys, "kl", "--group", "A2", "--cache-dir", str(cache_dir))[0] == 0
-    return cache_dir, cache_dir / "A2.klcache.gz"
+    assert run(capsys, "kl", "--group", group, "--cache-dir", str(cache_dir))[0] == 0
+    return cache_dir, cache_dir / f"{group}.klcache.gz"
 
 
 @pytest.mark.parametrize(
@@ -93,11 +93,10 @@ def test_damaged_loaded_column_is_a_clean_error(tmp_path, capsys):
 
 
 def test_loaded_row_above_its_column_is_a_clean_error(tmp_path, capsys):
-    # row 1,2 in column 1 passes the load guard, but 1,2 comes after 1 in
-    # canonical order: the back-substitution refuses the column; factorize
-    # solves over W_{1} too, where the row has no place in the block; hybrid
-    # at J = {1} relabels C_1's rows through W_{1}, which has no place for it
-    # either (TC, and the C_1 factor of CT)
+    # row 1,2 in column 1 passes the load guard, but 1,2 is not <= 1: load
+    # leaves the column out, as its rows are not [e, 1], and every command
+    # that reads it (the back-substitution, factorize's block over W_{1},
+    # both hybrid orientations) gets the same one-line error
     cache_dir, path = _filled_cache_file(tmp_path, capsys)
     restrict = ["restrict", "--group", "A2", "--J", "1,2", "--u", "e", "--w", "1", "--cache-dir", str(cache_dir)]
     factorize = ["factorize", "--group", "A2", "--cache-dir", str(cache_dir)]
@@ -116,7 +115,31 @@ def test_loaded_row_above_its_column_is_a_clean_error(tmp_path, capsys):
     for args in (restrict, factorize, hybrid, hybrid + ["--orientation", "CT"]):
         code, out, err = run(capsys, *args)
         assert_clean_error(code, out, err)
-        assert err == "error: KL column 1: a loaded column has an entry outside the Bruhat interval\n"
+        assert err == "error: KL column 1: the loaded rows are not the Bruhat interval [e, w]\n"
+
+
+@pytest.mark.parametrize(
+    "column, edit",
+    [
+        ("1,2,1", lambda col: col.pop("1")),
+        ("1,2", lambda col: col.update({"3": {"1": 1}})),
+        ("1,2", lambda col: col.update({"1": {}})),
+    ],
+    ids=["deleted-entry", "entry-not-below", "zero-entry"],
+)
+def test_loaded_rows_other_than_the_interval_are_a_clean_error(tmp_path, capsys, column, edit):
+    # h_{x,w} != 0 exactly when x <= w: entry 1 deleted from column 1,2,1, an
+    # entry added at 3, which is not <= 1,2, or entry 1 of 1,2 set to 0 passes
+    # the guard; kl printed such a column as stored
+    cache_dir, path = _filled_cache_file(tmp_path, capsys, "A3")
+    with gzip.open(path, "rt", encoding="utf-8") as fh:
+        obj = json.load(fh)
+    edit(obj["columns"][column])
+    with gzip.open(path, "wt", encoding="utf-8") as fh:
+        json.dump(obj, fh)
+    code, out, err = run(capsys, "kl", "--group", "A3", "--cache-dir", str(cache_dir))
+    assert_clean_error(code, out, err)
+    assert err == f"error: KL column {column}: the loaded rows are not the Bruhat interval [e, w]\n"
 
 
 def _with(obj, keys, value):

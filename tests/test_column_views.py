@@ -13,7 +13,7 @@ from functools import cache
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from heckekl import KLCache, coxeter_system
 from heckekl.cli import main
@@ -113,11 +113,15 @@ def test_kl_on_an_edited_diagonal_is_a_clean_error(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 
-def _kl_a3(cache_dir) -> tuple[int, str, str]:
+def _run(*argv) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["kl", "--group", "A3", "--cache-dir", str(cache_dir)])
+        code = main(list(argv))
     return code, out.getvalue(), err.getvalue()
+
+
+def _kl_a3(cache_dir) -> tuple[int, str, str]:
+    return _run("kl", "--group", "A3", "--cache-dir", str(cache_dir))
 
 
 @cache
@@ -214,5 +218,57 @@ def test_edited_cache_file_is_an_error_or_an_output(text):
         assert time.perf_counter() - start < 2.0
     if code == 2:
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert code == 0 and err == "" and out
+
+
+# every subcommand on a damaged or edited file: fixed valid arguments at A3
+# (and at A2, for the example), which read the loaded columns as each
+# subcommand does: kl directly, the others through the back-substitution, a
+# relabel or a Hecke product
+_COMMANDS = [
+    ["kl"],
+    ["kl", "--w", "1,2,1"],
+    ["restrict", "--J", "1,2", "--u", "e", "--w", "1"],
+    ["hybrid", "--J", "1", "--w", "2,1"],
+    ["hybrid", "--J", "1", "--w", "2,1", "--orientation", "CT"],
+    ["factorize"],
+    ["parabolic", "--J", "1"],
+    ["verify", "--suite", "positivity"],
+]
+
+
+def _a2_row_above_its_column() -> bytes:
+    """A filled A2 file with the row 1,2 added to column 1: factorize ended in
+    a KeyError traceback on it, and restrict printed negative coefficients."""
+    s = coxeter_system("A2")
+    cache = KLCache(s)
+    cache.fill()
+    with tempfile.TemporaryDirectory() as d:
+        cache.save(Path(d) / "A2.klcache.gz")
+        obj = json.loads(gzip.decompress((Path(d) / "A2.klcache.gz").read_bytes()))
+    obj["columns"]["1"]["1,2"] = {"1": 1}
+    return gzip.compress(json.dumps(obj).encode())
+
+
+_A2_ROW_ABOVE = ("A2", _a2_row_above_its_column())
+
+
+@settings(database=None, deadline=None, derandomize=True, max_examples=150)
+@given(
+    st.tuples(st.just("A3"), damaged() | edited().map(lambda text: gzip.compress(text.encode()))),
+    st.sampled_from(_COMMANDS),
+)
+@example(_A2_ROW_ABOVE, ["factorize"])
+@example(_A2_ROW_ABOVE, ["restrict", "--J", "1,2", "--u", "e", "--w", "1"])
+def test_every_subcommand_on_a_damaged_or_edited_file_keeps_the_exit_contract(file, command):
+    group, data = file
+    with tempfile.TemporaryDirectory() as d:
+        (Path(d) / f"{group}.klcache.gz").write_bytes(data)
+        code, out, err = _run(command[0], "--group", group, *command[1:], "--cache-dir", d)
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    elif code == 1:
+        assert command[0] in ("verify", "factorize") and err == "" and out
     else:
         assert code == 0 and err == "" and out

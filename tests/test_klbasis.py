@@ -335,15 +335,47 @@ def test_a_mu_above_1_is_subtracted_that_many_times(tmp_path):
 
 
 def test_guard_rejects_an_entry_outside_the_interval(tmp_path):
-    # in A3, C_{121} = C_{12} C_1 - C_1 and s_3 is not below 121
+    # in A3, C_{121} = C_{12} C_1 - C_1 and s_3 is not below 1: load leaves
+    # column 1 out, and computing 121 reads it
     s = coxeter_system("A3")
 
     def edit(columns):
         columns["1"]["3"] = {"1": 1}
 
     loaded = _load_edited(tmp_path, s, ([1], [1, 2]), edit)
-    with pytest.raises(RuntimeError, match="KL column 1,2,1: .*outside the Bruhat interval"):
+    with pytest.raises(RuntimeError, match=r"KL column 1: the loaded rows are not the Bruhat interval \[e, w\]"):
         loaded.kl_column(s.element_from_word([1, 2, 1]))
+
+
+def test_a_column_above_a_missing_one_is_checked_against_the_bruhat_order(tmp_path):
+    # 1,2,1 and 1,2,3 lift from 1,2 (v = ws): with 1,2 left out of the file,
+    # load reads [e, 1,2] off the Bruhat order instead
+    s = coxeter_system("A3")
+    words = list(map(s.word, s.elements()))
+    w121, w123 = s.element_from_word([1, 2, 1]), s.element_from_word([1, 2, 3])
+    loaded = _load_edited(tmp_path, s, words, lambda columns: columns.pop("1,2"))
+    assert w121 in loaded._columns and w123 in loaded._columns and not loaded._damaged
+    assert loaded.kl_column(w121) == KLCache(s).kl_column(w121)
+
+    def edit(columns):
+        del columns["1,2"], columns["1,2,1"]["1"]
+
+    loaded = _load_edited(tmp_path, s, words, edit)
+    assert w123 in loaded._columns
+    with pytest.raises(RuntimeError, match=r"KL column 1,2,1: the loaded rows are not the Bruhat interval"):
+        loaded.kl_column(w121)
+
+
+def test_loading_a_complete_file_builds_no_bruhat_table(tmp_path):
+    # every column lifts from its stored neighbour ws, so neither load nor the
+    # reads build the Bruhat table (it costs more than the check: 0.22 s at D5)
+    full = KLCache(coxeter_system("B3"))
+    full.fill()
+    full.save(tmp_path / "B3.klcache.gz")
+    s = coxeter_system("B3")
+    loaded = KLCache.load(tmp_path / "B3.klcache.gz", s)
+    assert kl_matrix(loaded).same_entries(kl_matrix(full))
+    assert loaded.computed == 0 and "_below" not in s.__dict__
 
 
 def _kl_matrix_calls(cache):
