@@ -31,12 +31,12 @@ column unless its diagonal is 1, each >> 64 was exact, (2 + sum of mu) *
 (largest coefficient so far) < 2^62 (so decoding is unique) and all entries
 are >= 0 with digits < 2^62.  load decodes, guards and stores the file's
 columns one at a time, so it never holds the whole decoded file (an entry of
-degree above l(w0) does not pack, so its column fails).  A column's rows (its
-nonzero entries) must be exactly [e, w], as h_{x,w} != 0 iff x <= w: [e, w] =
+degree above l(w0) or a 0 entry does not pack, so its column fails).  A
+column's rows must be exactly [e, w], as h_{x,w} != 0 iff x <= w: [e, w] =
 [e, v] u [e, v]s with v = ws, [e, v] read from v's loaded column (save writes
-v first) or else the Bruhat order; the degree window is not checked.  A column
-that fails is not stored, and reading it raises its error.  A relabeled column
-reads its partner's ints, and a computed one is its interval by construction.
+v first) or else lifted alike from v's ws; the degree window is not checked.
+A failed column is not stored, and reading it raises its error.  A relabeled
+column reads its partner's ints; a computed one is its interval by design.
 
 Each column is stored as two arrays: its rows (element indices) and, per
 row, an id into the cache's one list of distinct packed entries, so equal
@@ -69,7 +69,7 @@ from json.decoder import WHITESPACE, JSONDecodeError, scanstring
 from operator import or_
 from typing import Iterable
 
-from .coxeter import CoxeterSystem, Element, UnsupportedGroupError, _bits, format_word
+from .coxeter import CoxeterSystem, Element, UnsupportedGroupError, format_word
 from .hecke import HeckeElement, _Column, _element
 from .laurent import ExactnessError, LaurentPoly, ONE, Q, QINV, ZERO, decoder, pack
 
@@ -194,12 +194,12 @@ class KLCache:
                 by_id = values if m == 1 else {k: m * values[k] for k in set(col._ids)}
                 for x, k in zip(col._indices(), col._ids):  # x lies in [e, z], inside out's support
                     out[x] -= by_id[k]
-        self._guard(i, out.get(i), out.values(), low, mu_sum)
+        self._top = self._guard(i, out.get(i), out.values(), low, mu_sum)
         return self._store(out)
 
     def _guard(self, i: int, diagonal: int | None, entries: Iterable[int], low: int = 0, mu_sum: int = 0):
-        """Raise unless packed column i, with this diagonal entry and these
-        entries (all, or the distinct ones), decodes exactly (module docstring)."""
+        """Raise unless packed column i, with this diagonal entry and these entries (all,
+        or the distinct ones), decodes exactly; else _top with them, kept if it is stored."""
         if diagonal != 1:
             self._fail(i, "the diagonal entry is not 1")
         if low & _MASK:
@@ -212,7 +212,7 @@ class KLCache:
             top, acc = max(top, acc & _MASK), acc >> _DIGIT
         if acc < 0 or top >= _LIMIT:
             self._fail(i, "an entry is negative or has a coefficient >= 2^62")
-        self._top = top
+        return top
 
     def _fail(self, i: int, why: str):
         word = format_word(self.system.word(self.system.elements()[i])) or "e"
@@ -295,9 +295,9 @@ class KLCache:
         class Packs(dict):  # a JSON entry's items -> the id of its pack (None: not packable), made once
             def __missing__(self, key: tuple) -> int | None:
                 p = LaurentPoly.from_json_obj(dict(key))
-                # in Z[q] with digits < 2^62 and degree <= l(w0), which also keeps
-                # the guard quick: its digit loop is quadratic in the degree
-                ok = all(0 <= e <= top and 0 <= c < _LIMIT for e, c in p.items())
+                # nonzero (0 is no row), in Z[q] with digits < 2^62 and degree <= l(w0),
+                # which also keeps the guard quick: its digit loop is quadratic in the degree
+                ok = not p.is_zero() and all(0 <= e <= top and 0 <= c < _LIMIT for e, c in p.items())
                 self[key] = k = out._ids[pack(p, _DIGIT, 0)] if ok else None
                 return k
 
@@ -322,7 +322,7 @@ class KLCache:
                 return {0}
             right = system.right_index[system.word(els[i])[-1] - 1]
             col = out._columns.get(els[v := right[i]])  # loaded (not relabeled) and checked: save writes v first
-            rows = col._rows if col is not None else [*_bits(system._below[v])]  # v missing, damaged or later
+            rows = col._rows if col is not None else gaps.get(v) or gaps.setdefault(v, interval(v))
             return {*rows, *map(right.__getitem__, rows)}
 
         def column(wtext: str, pos: int) -> int:
@@ -339,18 +339,19 @@ class KLCache:
             ids = dict(zip(map(index, col), map(packs.__getitem__, map(tuple, map(dict.items, polys)))))
             try:  # the guard, on the diagonal and each distinct entry; then the rows against [e, w]
                 if None in ids.values():
-                    out._fail(i, "a loaded entry is not in Z[q] with degree <= l(w0) and coefficients in [0, 2^62)")
+                    out._fail(i, "a loaded entry is 0 or not in Z[q] with degree <= l(w0) and coefficients in [0, 2^62)")
                 diagonal = values[ids[i]] if i in ids else None
-                out._guard(i, diagonal, map(values.__getitem__, set(ids.values())))
-                if ids.keys() != interval(i) or 0 in out._ids and out._ids[0] in ids.values():  # 0 is no row
+                largest = out._guard(i, diagonal, map(values.__getitem__, set(ids.values())))
+                if ids.keys() != interval(i):
                     out._fail(i, "the loaded rows are not the Bruhat interval [e, w]")
             except ExactnessError as e:  # not stored: kl_column raises its message when the column is read
                 out._damaged[els[i]] = str(e)
                 return end
+            out._top = largest  # only a stored column raises it
             out._columns[els[i]] = out._view(_array(out._row_code, ids), _array(_code(len(values)), ids.values()))
             return end
 
-        packs = Packs()
+        packs, gaps = Packs(), {}  # gaps: v -> [e, v] for a v with no stored column (missing, damaged or later)
         try:
             end = _WS(text, _members(text, 0, member, "cache file is not a JSON object")).end()
         except RecursionError:  # the parser's own limit, on deeply nested arrays or objects

@@ -118,18 +118,25 @@ def test_loaded_row_above_its_column_is_a_clean_error(tmp_path, capsys):
         assert err == "error: KL column 1: the loaded rows are not the Bruhat interval [e, w]\n"
 
 
+_NOT_THE_INTERVAL = "the loaded rows are not the Bruhat interval [e, w]"
+
+
 @pytest.mark.parametrize(
-    "column, edit",
+    "column, edit, why",
     [
-        ("1,2,1", lambda col: col.pop("1")),
-        ("1,2", lambda col: col.update({"3": {"1": 1}})),
-        ("1,2", lambda col: col.update({"1": {}})),
+        ("1,2,1", lambda col: col.pop("1"), _NOT_THE_INTERVAL),
+        ("1,2", lambda col: col.update({"3": {"1": 1}}), _NOT_THE_INTERVAL),
+        (
+            "1,2",
+            lambda col: col.update({"1": {}}),
+            "a loaded entry is 0 or not in Z[q] with degree <= l(w0) and coefficients in [0, 2^62)",
+        ),
     ],
     ids=["deleted-entry", "entry-not-below", "zero-entry"],
 )
-def test_loaded_rows_other_than_the_interval_are_a_clean_error(tmp_path, capsys, column, edit):
+def test_loaded_rows_other_than_the_interval_are_a_clean_error(tmp_path, capsys, column, edit, why):
     # h_{x,w} != 0 exactly when x <= w: entry 1 deleted from column 1,2,1, an
-    # entry added at 3, which is not <= 1,2, or entry 1 of 1,2 set to 0 passes
+    # entry added at 3, which is not <= 1,2, or entry 1 of 1,2 set to 0 passed
     # the guard; kl printed such a column as stored
     cache_dir, path = _filled_cache_file(tmp_path, capsys, "A3")
     with gzip.open(path, "rt", encoding="utf-8") as fh:
@@ -139,7 +146,7 @@ def test_loaded_rows_other_than_the_interval_are_a_clean_error(tmp_path, capsys,
         json.dump(obj, fh)
     code, out, err = run(capsys, "kl", "--group", "A3", "--cache-dir", str(cache_dir))
     assert_clean_error(code, out, err)
-    assert err == f"error: KL column {column}: the loaded rows are not the Bruhat interval [e, w]\n"
+    assert err == f"error: KL column {column}: {why}\n"
 
 
 def _with(obj, keys, value):

@@ -347,15 +347,16 @@ def test_guard_rejects_an_entry_outside_the_interval(tmp_path):
         loaded.kl_column(s.element_from_word([1, 2, 1]))
 
 
-def test_a_column_above_a_missing_one_is_checked_against_the_bruhat_order(tmp_path):
+def test_a_column_above_a_missing_one_is_checked_by_lifting_past_it(tmp_path):
     # 1,2,1 and 1,2,3 lift from 1,2 (v = ws): with 1,2 left out of the file,
-    # load reads [e, 1,2] off the Bruhat order instead
+    # load lifts [e, 1,2] from the stored column 1 instead
     s = coxeter_system("A3")
     words = list(map(s.word, s.elements()))
     w121, w123 = s.element_from_word([1, 2, 1]), s.element_from_word([1, 2, 3])
     loaded = _load_edited(tmp_path, s, words, lambda columns: columns.pop("1,2"))
     assert w121 in loaded._columns and w123 in loaded._columns and not loaded._damaged
     assert loaded.kl_column(w121) == KLCache(s).kl_column(w121)
+    assert "_below" not in s.__dict__
 
     def edit(columns):
         del columns["1,2"], columns["1,2,1"]["1"]
@@ -376,6 +377,44 @@ def test_loading_a_complete_file_builds_no_bruhat_table(tmp_path):
     loaded = KLCache.load(tmp_path / "B3.klcache.gz", s)
     assert kl_matrix(loaded).same_entries(kl_matrix(full))
     assert loaded.computed == 0 and "_below" not in s.__dict__
+
+
+def test_loading_a_partial_file_with_holes_builds_no_bruhat_table(tmp_path):
+    # C_{2321} is relabeled from its inverse C_{1232}, so the saved file holds
+    # 2,3,2,1 but not 2,3,2, 2,3 or 2: load lifts [e, 2,3,2] down that chain
+    # to e, and never builds the Bruhat table
+    s = coxeter_system("B3")
+    w = s.element_from_word([1, 2, 3, 2])
+    partial = KLCache(s)
+    partial.kl_column(w)
+    partial.kl_column(s.inverse(w))
+    partial.save(tmp_path / "B3.klcache.gz")
+    fresh = coxeter_system("B3")
+    loaded = KLCache.load(tmp_path / "B3.klcache.gz", fresh)
+    assert {fresh.word(x) for x in loaded._columns} == {(), (1,), (1, 2), (1, 2, 3), (1, 2, 3, 2), (2, 3, 2, 1)}
+    assert not loaded._damaged and "_below" not in fresh.__dict__
+    w_inv = fresh.element_from_word([2, 3, 2, 1])
+    assert loaded.kl_column(w_inv) == KLCache(fresh).kl_column(w_inv)
+
+
+def test_a_column_left_out_at_load_does_not_raise_the_coefficient_bound(tmp_path):
+    # column 1,2 passes the guard with a coefficient of 2^61, then fails the
+    # interval check (row 1 deleted); had it raised the bound, every later
+    # column would fail "coefficients could reach 2^62" in its place
+    s = coxeter_system("A3")
+    words = list(map(s.word, s.elements()))
+
+    def edit(columns):
+        del columns["1,2"]["1"]
+        columns["1,2"][""] = {"1": 2**61}
+
+    loaded = _load_edited(tmp_path, s, words, edit)
+    assert loaded._damaged == {
+        s.element_from_word([1, 2]): "KL column 1,2: the loaded rows are not the Bruhat interval [e, w]"
+    }
+    assert len(loaded._columns) == s.order - 1
+    w0 = s.longest_element()
+    assert loaded.kl_column(w0) == KLCache(s).kl_column(w0)
 
 
 def _kl_matrix_calls(cache):
