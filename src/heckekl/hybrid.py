@@ -31,25 +31,29 @@ The arithmetic runs on packed ints (laurent.pack: a coefficient p becomes
 (q^off p)(2^K)) keyed by element index.  Matrices stay packed: the columns of
 transition_matrix and matmul are views (hecke._Column) that decode each
 distinct value once, and matmul and same_entries read their packed dicts.
-The digit width K always comes from laurent.width applied to a bound on the
-L1 norms:
 
+* the block of transition_matrix, C_w in TC^I for w in W_J, comes from the
+  left KL recursion C_w = C_s C_sw - sum_{z < sw, sz < z} mu(z, sw) C_z, in
+  canonical order at the KL kernel's (64, 0), mu being digit 1 of the KL
+  columns.  C_s = T_s + q acts on TC_uv = T_u C_v (u in W^I, v in W_I) in
+  three cases (Deodhar): (a) su < u: TC_{su,v} + q^-1 TC_uv; (b) su > u in
+  W^I: TC_{su,v} + q TC_uv; (c) su = ut, t in I: T_u C_t C_v, that is
+  (q + q^-1) TC_uv if tv < v, else TC_{u,tv} + sum_{z < v, tz < z} mu(z, v)
+  TC_uz.  The q^-1 steps are exact (off the diagonal the coordinates lie in
+  qZ[q], and the diagonal never meets (a), or (c) with tv < v); as in
+  KLCache._guard, the OR of the operands of >> 64 must have a zero low digit
+  and a bound on each coefficient, (3 + the largest |h_{z,v}|_1 of each v in
+  W_I, summed, + the mu subtracted) times the largest |d|_1 so far, must stay
+  below 2^62, else ExactnessError names the column.  A coordinate may be
+  negative (only a damaged cache gives one); is_nonneg_poly_matrix sees it.
 * back-substitution has one owner, _solve, which expand_in_hybrid,
-  restriction_coeffs, parabolic_kl and the block of transition_matrix call
-  with their jobs: the vectors to expand, each as (index, packed entry)
-  pairs at the width K it is given, with a bound on their L1 norms.  It
-  splits each vector by coset uW_J and solves each piece against the KL
-  columns of W_J, read as the KL kernel packed them (through kl_column), in
-  Z[q] at offset 0, in one pass down W_J in canonical order.  That needs
-  each row x of column v to have an index no larger than v's (x <= v gives
-  l(x) <= l(v); KLCache.load checks that a loaded column's rows are [e, v]).
-  Next to each work value runs an integer bound on its L1 norm: the input's,
-  plus |d_v|_1 times the largest |h_{x,v}|_1 of column v for every d_v whose
-  column reaches it.  If a bound reaches 2^(K-2), all jobs run again at the
-  width the bounds give, with the inputs repacked at that width;
-  ExactnessError if that width is no wider.
-* matmul takes K from the a-priori bound (largest |a_xy|_1) * (largest
-  column sum of |b_yw|_1) on every entry of the product, and raises
+  restriction_coeffs and parabolic_kl call with their jobs: it solves each
+  coset piece of each vector against the KL columns of W_J in one pass down
+  W_J in canonical order, with a bound on the L1 norm of each work value; if
+  a bound reaches 2^(K-2), all jobs run again at the width (laurent.width)
+  the bounds give.
+* matmul takes K = laurent.width of the a-priori bound (largest |a_xy|_1) *
+  (largest column sum of |b_yw|_1) on every entry of the product, and raises
   ExactnessError if the bound does not fit; the product is packed at K.
 """
 
@@ -62,7 +66,7 @@ from typing import Callable, Iterable, Mapping
 
 from .coxeter import CoxeterSystem, Element, format_word
 from .hecke import HeckeElement, _Column, _element, _packed_at, t_basis
-from .klbasis import _DIGIT as _KL_WIDTH, KLCache
+from .klbasis import _DIGIT as _KL_WIDTH, _LIMIT, _MASK, KLCache
 from .laurent import ExactnessError, LaurentPoly, ZERO, decoder, width
 
 
@@ -318,23 +322,64 @@ def transition_matrix(cache: KLCache, I: Iterable[int], J: Iterable[int]) -> Tra
     """Matrix of TC^I-coordinates of the TC^J basis, for nested I inside J.
 
     The matrix is block-diagonal across W^J-cosets with one repeated block:
-    the |W_J| x |W_J| block is computed once and copied to every coset.
+    the |W_J| x |W_J| block, C_w in TC^I for w in W_J, is built once by the
+    left KL recursion (module docstring) and copied to every coset.  A q^-1
+    step that is not exact, or a coefficient bound that reaches 2^62, raises
+    ExactnessError naming the column.
     """
     sys = cache.system
-    I = sys.subset(I)
-    J = sys.subset(J)
+    I, J = sys.subset(I), sys.subset(J)
     if not I <= J:
         raise ValueError(f"I must be contained in J, got I={sorted(I)}, J={sorted(J)}")
     order = sys.elements()
-    # column vp of the block: C_vp (vp in W_J) expanded in TC^I
     split_j, join_j = sys.coset_index(J)
-    K, block = _solve(cache, I, 1, lambda K, column: ((vp, column(vp), cache._column_l1(vp)) for vp in join_j[0]))
-    decode = decoder(K, 0)
+    decode = decoder(_KL_WIDTH, 0)
+    block = _block(cache, I, list(join_j[0]), decode)
     cols: dict[Element, Mapping[Element, LaurentPoly]] = {}
     for w, (u, vp) in zip(order, split_j):
         row = join_j[u]
-        cols[w] = _Column(sys, {row[x]: d for x, d in block[vp].items()}, decode, K)
+        cols[w] = _Column(sys, {row[x]: d for x, d in block[vp].items()}, decode)
     return TransitionMatrix(sys, I, J, order, cols)
+
+
+def _block(cache: KLCache, I: frozenset[int], WJ: list[int], decode) -> dict[int, dict[int, int]]:
+    """{w: {index of uv: d}}: C_w in TC^I at (64, 0), zeros omitted, for w in
+    WJ (W_J in canonical order, I inside J), by the module docstring's recursion."""
+    sys, (split, join) = cache.system, cache.system.coset_index(I)
+    els, left = sys.elements(), sys.left_index
+    # (z, mu(z, i)) over z < i with sz < z, ls being left_index of s
+    mu = lambda ls, i: [(z, m) for z, h in cache.kl_column(els[i])._pairs() if ls[z] < z < i and (m := h >> _KL_WIDTH & _MASK)]
+    lower = functools.cache(lambda v, tv: mu(next(left[t - 1] for t in I if left[t - 1][v] == tv), v))  # C_t C_v, tv > v
+    # mu(z, v) <= |h_{z,v}|_1, so each coefficient of C_s times a column is at most spread * top
+    spread, top, memo = 3 + sum(map(cache._column_l1, join[0])), 1, {0: {0: 1}}
+    for w in WJ[1:]:
+        ls = left[sys.word(els[w])[0] - 1]
+        subtract = mu(ls, ls[w])
+        out, low = {}, 0  # low: the OR of the operands of >> 64
+        for x, d in memo[ls[w]].items():
+            sx, (u, v) = ls[x], split[x]
+            if split[sx][0] != u:  # (a) su < u, (b) su > u in W^I: TC_{su,v} + q^(-+1) TC_uv
+                out[sx] = out.get(sx, 0) + d
+                low |= d if sx < x else 0
+                out[x] = out.get(x, 0) + (d >> _KL_WIDTH if sx < x else d << _KL_WIDTH)
+            elif sx < x:  # (c) tv < v: (q + q^-1) TC_uv
+                low |= d
+                out[x] = out.get(x, 0) + (d << _KL_WIDTH) + (d >> _KL_WIDTH)
+            else:  # (c) tv > v: TC_{u,tv} + sum mu(z, v) TC_uz
+                out[sx], row = out.get(sx, 0) + d, join[u]
+                for z, m in lower(v, split[sx][1]):
+                    out[row[z]] = out.get(row[z], 0) + m * d
+        for z, m in subtract:
+            for x, d in memo[z].items():
+                out[x] = out.get(x, 0) - m * d
+        # a bound first: the values decode only if every coefficient is below 2^62
+        why = (spread + sum(m for _, m in subtract)) * top >= _LIMIT and "coefficients could reach 2^62"
+        if why or low & _MASK:
+            word = format_word(sys.word(els[w])) or "e"
+            raise ExactnessError(f"transition column {word}, I = {sorted(I)}: {why or 'a division by q was not exact'}")
+        memo[w] = out = {x: d for x, d in out.items() if d}
+        top = max([top, *(decode(d).l1() for d in set(out.values()))])
+    return memo
 
 
 def matmul(a: TransitionMatrix, b: TransitionMatrix) -> TransitionMatrix:
